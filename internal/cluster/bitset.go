@@ -4,11 +4,12 @@ import (
 	"math/bits"
 )
 
-// bitset is a two-level bitmap over machine ids: words holds one bit per
-// machine, sum one bit per non-zero word. first() therefore scans the (tiny)
-// summary level instead of all words, which keeps "lowest-index available
-// machine" O(1)-ish at 10k machines — the indexed up-machine set that
-// replaces the full c.machines scans of earlier engines.
+// bitset is a two-level bitmap: words holds one bit per element, sum one bit
+// per non-zero word. first() and next() therefore scan the (tiny) summary
+// level instead of all words. Over machine ids it keeps "lowest-index
+// available machine" O(1)-ish at 10k machines — the indexed up-machine set
+// that replaces the full c.machines scans of earlier engines; over job ids
+// it holds the scheduling pass's hungry sets (engine.go).
 type bitset struct {
 	words []uint64
 	sum   []uint64
@@ -48,6 +49,18 @@ func (b *bitset) init(n int, all bool) {
 		if b.words[i] != 0 {
 			b.sum[i>>6] |= 1 << (uint(i) & 63)
 		}
+	}
+}
+
+// grow extends the set to hold at least n bits, the new ones clear, keeping
+// existing contents (and, across init, the backing arrays' capacity).
+func (b *bitset) grow(n int) {
+	nw := (n + 63) / 64
+	for len(b.words) < nw {
+		b.words = append(b.words, 0)
+	}
+	for ns := (nw + 63) / 64; len(b.sum) < ns; {
+		b.sum = append(b.sum, 0)
 	}
 }
 
@@ -96,6 +109,36 @@ func (b *bitset) first() int {
 	}
 	b.hint = len(b.words) << 6
 	return -1
+}
+
+// next returns the lowest set bit >= i, or -1 when there is none. Unlike
+// first it keeps no cursor: the hungry-set walk calls it with a moving lower
+// bound while bits above and below that bound change.
+//
+//jockey:hotpath
+func (b *bitset) next(i int) int {
+	w := i >> 6
+	if w >= len(b.words) {
+		return -1
+	}
+	if m := b.words[w] &^ (1<<(uint(i)&63) - 1); m != 0 {
+		return w<<6 + bits.TrailingZeros64(m)
+	}
+	w++
+	si := w >> 6
+	if si >= len(b.sum) {
+		return -1
+	}
+	for sm := b.sum[si] &^ (1<<(uint(w)&63) - 1); ; sm = b.sum[si] {
+		if sm != 0 {
+			ww := si<<6 + bits.TrailingZeros64(sm)
+			return ww<<6 + bits.TrailingZeros64(b.words[ww])
+		}
+		si++
+		if si >= len(b.sum) {
+			return -1
+		}
+	}
 }
 
 // selectK returns the k-th (0-based) set bit in index order, or -1 when

@@ -229,7 +229,8 @@ type JobConfig struct {
 	OnTaskEvent func(e trace.TaskEvent)
 	// OnSample, if set, observes the job's state every SamplePeriod
 	// (default 1 minute), independent of any policy. Used by experiments
-	// that replay progress indicators offline.
+	// that replay progress indicators offline, so each sample's FracDone is
+	// a fresh slice the callback may keep.
 	OnSample func(at time.Duration, st model.State)
 	// SamplePeriod is the OnSample period (default 1 minute).
 	SamplePeriod time.Duration
@@ -301,7 +302,9 @@ func (h *Handle) Name() string { return h.cfg.Profile.Job.Name }
 // effect at the next scheduling pass; Config.OnEpoch callbacks get one
 // automatically when the epoch handler returns.
 func (h *Handle) SetGuarantee(g int) {
-	h.c.jobs[h.id].setGuarantee(h.c.now, g)
+	jr := h.c.jobs[h.id]
+	jr.setGuarantee(h.c.now, g)
+	h.c.touch(jr)
 }
 
 // Guarantee returns the job's current guaranteed token count.
@@ -311,10 +314,16 @@ func (h *Handle) Guarantee() int { return h.c.jobs[h.id].guarantee }
 // per-stage completion fractions) at the cluster's current time. Before the
 // job's arrival event has fired it returns the zero state: elapsed 0 and all
 // stage fractions 0, which is exactly the state the job is in at arrival.
+//
+// FracDone aliases a per-job buffer that the cluster rewrites on the job's
+// next state read — the next State call, or the next decision of the job's
+// Policy, which sees the same buffer. It is valid until then; copy it to keep
+// it (control.Guard does).
 func (h *Handle) State() model.State {
 	jr := h.c.jobs[h.id]
 	if !jr.arrived {
-		return model.State{FracDone: make([]float64, jr.job.NumStages())}
+		clear(jr.fracBuf)
+		return model.State{FracDone: jr.fracBuf}
 	}
 	return jr.state(h.c.now)
 }
@@ -396,8 +405,32 @@ type Cluster struct {
 	// (dispatch / eviction / locality lookup, which run on nearly every
 	// event) does not allocate. Their contents never outlive one call.
 	scratchSlots    []int32
-	scratchJobs     []*jobRun
 	scratchReplicas []int
+
+	// Incremental scheduling-pass state (engine.go, DESIGN.md §14): a pass
+	// costs what changed since the previous one, not what is live.
+	//
+	//   - dirty lists the jobs touched since their last reclassify, each
+	//     once (jobRun.dirty dedupes);
+	//   - frac is the contention factor the previous pass ran under; when
+	//     it moves, every live job is dirty;
+	//   - hungry[0] / hungry[1] hold the ids of tracked / untracked jobs
+	//     with guarCount < effectiveGuarantee and pending work — the
+	//     guaranteed dispatcher's walk, in rank order;
+	//   - spare is the virtual-time round-robin over spare-eligible jobs;
+	//   - specLive counts live jobs that speculate, so the duplicate
+	//     dispatcher skips its live walk when none does;
+	//   - work counts what passes did (the per-pass work guard reads it).
+	dirty    []*jobRun
+	frac     float64
+	hungry   [2]bitset
+	spare    spareSet
+	specLive int
+	work     passWork
+
+	// hooks is nil in every production run. Only this package's tests set
+	// it, to run the retired reference pass or log dispatches.
+	hooks *testHooks
 
 	// endBatch buffers the task-end events of one scheduling pass so they
 	// are bulk-pushed (eventq.PushBatch) when the pass finishes: an arrival
@@ -447,6 +480,13 @@ func (c *Cluster) init(cfg Config) error {
 		c.endBatch = make([]eventq.Entry[event], 0, want)
 	}
 	c.endBatch = c.endBatch[:0]
+	c.dirty = c.dirty[:0]
+	c.frac = 1
+	c.hungry[0].init(0, false)
+	c.hungry[1].init(0, false)
+	c.spare.reset()
+	c.specLive = 0
+	c.work = passWork{}
 	c.store.reset()
 	c.totalRunning = 0
 	c.busySecs = 0
@@ -571,6 +611,8 @@ func (c *Cluster) Submit(cfg JobConfig) (*Handle, error) {
 	}
 	jr.prepare(id, cfg, stats.DeriveSeed(c.cfg.Seed, "job", fmt.Sprint(id)))
 	c.jobs = append(c.jobs, jr)
+	c.hungry[0].grow(len(c.jobs))
+	c.hungry[1].grow(len(c.jobs))
 	if cfg.Tracked {
 		c.tracked++
 	}
@@ -656,10 +698,21 @@ type jobRun struct {
 	spareDone   int
 	guarDone    int
 	evictions   int
-	duplicates  int     // speculative copies launched
-	spareCredit float64 // smoothed-weighted-round-robin deficit counter
-	rootDone    int     // successful root-stage attempts
-	localDone   int     // ... that ran on a replica machine
+	duplicates  int // speculative copies launched
+	rootDone    int // successful root-stage attempts
+	localDone   int // ... that ran on a replica machine
+
+	// Incremental-pass membership (engine.go, spare.go). dirty marks the job
+	// as queued in Cluster.dirty. spareClass/spareIdx locate it in the spare
+	// set (-1 while not eligible). spareCredit is its round-robin credit:
+	// stored whole while ineligible, as credit − weight·R while eligible.
+	dirty       bool
+	spareClass  int32
+	spareIdx    int32
+	spareCredit int64
+
+	// fracBuf backs state().FracDone (see Handle.State for its lifetime).
+	fracBuf []float64
 
 	nextChange int // index into cfg.DeadlineChanges
 }
@@ -688,6 +741,7 @@ func newArena(job *dag.Job) *jobRun {
 	jr.attempts = make([][]int, n)
 	jr.consumers = make([][][]taskRef, n)
 	jr.driftFactor = make([]float64, n)
+	jr.fracBuf = make([]float64, n)
 	for s := 0; s < n; s++ {
 		tasks := job.Stages[s].Tasks
 		jr.done[s] = make([]bool, tasks)
@@ -770,22 +824,24 @@ func (jr *jobRun) prepare(id int, cfg JobConfig, seed uint64) {
 	jr.guarDone = 0
 	jr.evictions = 0
 	jr.duplicates = 0
+	jr.dirty = false
+	jr.spareClass = -1
+	jr.spareIdx = -1
 	jr.spareCredit = 0
 	jr.rootDone = 0
 	jr.localDone = 0
 	jr.nextChange = 0
 }
 
-func (jr *jobRun) fracDone() []float64 {
-	out := make([]float64, jr.job.NumStages())
-	for s := range out {
-		out[s] = float64(jr.doneCount[s]) / float64(jr.job.Stages[s].Tasks)
-	}
-	return out
-}
-
+// state returns the job's control state. FracDone is jr.fracBuf, rewritten
+// by the next call (see Handle.State).
+//
+//jockey:hotpath
 func (jr *jobRun) state(now time.Duration) model.State {
-	return model.State{Elapsed: now - jr.start, FracDone: jr.fracDone()}
+	for s := range jr.fracBuf {
+		jr.fracBuf[s] = float64(jr.doneCount[s]) / float64(jr.job.Stages[s].Tasks)
+	}
+	return model.State{Elapsed: now - jr.start, FracDone: jr.fracBuf}
 }
 
 //jockey:hotpath

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/jockeysim/jockey/internal/dag"
@@ -47,43 +48,51 @@ type event struct {
 // which returns an error).
 func (c *Cluster) Run() error {
 	for c.tracked+c.holds > 0 {
-		at, ev, ok := c.q.Pop()
-		if !ok {
-			return fmt.Errorf("cluster: event queue drained with %d tracked jobs unfinished and %d holds open (%s)",
-				c.tracked, c.holds, c.unfinishedTracked())
+		if err := c.step(); err != nil {
+			return err
 		}
-		if at > c.cfg.MaxSimTime {
-			return fmt.Errorf("cluster: exceeded max simulated time %v with %d tracked jobs unfinished (%s)",
-				c.cfg.MaxSimTime, c.tracked, c.unfinishedTracked())
-		}
-		c.accrueUtil(at)
-		c.now = at
-		switch ev.kind {
-		case evArrival:
-			c.handleArrival(ev.job)
-		case evTaskEnd:
-			c.handleTaskEnd(ev)
-		case evControlTick:
-			c.handleControlTick(ev.job)
-		case evDeadlineChange:
-			c.handleDeadlineChange(ev)
-		case evMachineFail:
-			c.handleMachineFail()
-		case evMachineRecover:
-			c.handleMachineRecover(ev.machine)
-		case evJobSample:
-			c.handleJobSample(ev.job)
-		case evSpecTick:
-			c.handleSpecTick(ev.job)
-		case evStageDrift:
-			c.handleStageDrift(ev)
-		case evRackOutage:
-			c.handleRackOutage(ev.change)
-		case evContention:
-			c.reschedule() // effective guarantees changed at this boundary
-		case evEpoch:
-			c.handleEpoch()
-		}
+	}
+	return nil
+}
+
+// step processes the next event.
+func (c *Cluster) step() error {
+	at, ev, ok := c.q.Pop()
+	if !ok {
+		return fmt.Errorf("cluster: event queue drained with %d tracked jobs unfinished and %d holds open (%s)",
+			c.tracked, c.holds, c.unfinishedTracked())
+	}
+	if at > c.cfg.MaxSimTime {
+		return fmt.Errorf("cluster: exceeded max simulated time %v with %d tracked jobs unfinished (%s)",
+			c.cfg.MaxSimTime, c.tracked, c.unfinishedTracked())
+	}
+	c.accrueUtil(at)
+	c.now = at
+	switch ev.kind {
+	case evArrival:
+		c.handleArrival(ev.job)
+	case evTaskEnd:
+		c.handleTaskEnd(ev)
+	case evControlTick:
+		c.handleControlTick(ev.job)
+	case evDeadlineChange:
+		c.handleDeadlineChange(ev)
+	case evMachineFail:
+		c.handleMachineFail()
+	case evMachineRecover:
+		c.handleMachineRecover(ev.machine)
+	case evJobSample:
+		c.handleJobSample(ev.job)
+	case evSpecTick:
+		c.handleSpecTick(ev.job)
+	case evStageDrift:
+		c.handleStageDrift(ev)
+	case evRackOutage:
+		c.handleRackOutage(ev.change)
+	case evContention:
+		c.reschedule() // effective guarantees changed at this boundary
+	case evEpoch:
+		c.handleEpoch()
 	}
 	return nil
 }
@@ -138,6 +147,7 @@ func (c *Cluster) handleArrival(id int) {
 	jr.start = c.now
 	jr.lastAllocAt = c.now
 	c.liveAdd(jr)
+	c.touch(jr)
 	if jr.cfg.Tracked && !jr.cfg.NoTrace {
 		// Traces outlive the run (results retain them), so they are always
 		// freshly allocated, never pooled.
@@ -164,6 +174,7 @@ func (c *Cluster) handleArrival(id int) {
 		c.q.Push(c.now+jr.cfg.SamplePeriod, event{kind: evJobSample, job: id})
 	}
 	if jr.cfg.SpeculativeThreshold > 0 {
+		c.specLive++
 		c.q.Push(c.now+specTickPeriod, event{kind: evSpecTick, job: id})
 	}
 	for i, d := range jr.cfg.Drifts {
@@ -236,7 +247,8 @@ func (c *Cluster) handleRackOutage(idx int) {
 }
 
 // contentionFrac returns the guarantee-scaling factor in force now (1 when
-// no contention window is open; overlapping windows take the tightest).
+// no contention window is open; overlapping windows take the tightest). The
+// scheduling pass reads it once and caches it in c.frac.
 //
 //jockey:hotpath
 func (c *Cluster) contentionFrac() float64 {
@@ -250,17 +262,17 @@ func (c *Cluster) contentionFrac() float64 {
 }
 
 // effectiveGuarantee returns how many guaranteed tokens the scheduler
-// actually honors for the job right now. Allocation accounting still charges
-// the nominal guarantee: during contention the job pays for a promise the
-// cluster breaks.
+// actually honors for the job in the current pass (c.frac is the pass's
+// contention factor). Allocation accounting still charges the nominal
+// guarantee: during contention the job pays for a promise the cluster
+// breaks.
 //
 //jockey:hotpath
 func (c *Cluster) effectiveGuarantee(jr *jobRun) int {
-	f := c.contentionFrac()
-	if f >= 1 {
+	if c.frac >= 1 {
 		return jr.guarantee
 	}
-	return int(float64(jr.guarantee) * f)
+	return int(float64(jr.guarantee) * c.frac)
 }
 
 func (c *Cluster) handleJobSample(id int) {
@@ -268,7 +280,9 @@ func (c *Cluster) handleJobSample(id int) {
 	if jr.completed {
 		return
 	}
-	jr.cfg.OnSample(c.now-jr.start, jr.state(c.now))
+	st := jr.state(c.now)
+	st.FracDone = slices.Clone(st.FracDone) // samples may be kept (JobConfig.OnSample)
+	jr.cfg.OnSample(c.now-jr.start, st)
 	c.q.Push(c.now+jr.cfg.SamplePeriod, event{kind: evJobSample, job: id})
 }
 
@@ -287,6 +301,7 @@ func (c *Cluster) controlDecision(jr *jobRun) {
 	d := jr.cfg.Policy.Decide(st)
 	jr.accrueAlloc(c.now)
 	jr.setGuarantee(c.now, d.Granted)
+	c.touch(jr)
 	if jr.cfg.OnDecision != nil {
 		jr.cfg.OnDecision(c.now-jr.start, d)
 	}
@@ -333,6 +348,7 @@ func (c *Cluster) handleTaskEnd(ev event) {
 	if s < 0 || int(st.attempt[s]) != ev.attempt {
 		return // stale event: the attempt was evicted, killed, or outraced
 	}
+	c.touch(jr)
 	jr.accrueAlloc(c.now)
 	machine := int(st.machine[s])
 	spawnedGuar := st.flags[s]&flagSpawnGuar != 0
@@ -460,6 +476,10 @@ func (c *Cluster) completeJob(jr *jobRun) {
 	jr.completed = true
 	c.liveRemove(jr)
 	jr.setGuarantee(c.now, 0)
+	c.touch(jr) // the next pass drops it from the hungry and spare sets
+	if jr.cfg.SpeculativeThreshold > 0 {
+		c.specLive--
+	}
 	completion := c.now - jr.start
 	totalWork := jr.p.TotalWork()
 	if jr.result.Trace != nil {
@@ -614,8 +634,10 @@ func (c *Cluster) cancelCopy(jr *jobRun, s int32) {
 // still running.
 func (c *Cluster) evictTask(jr *jobRun, s int32) {
 	jr.accrueAlloc(c.now)
+	c.touch(jr)
 	st := &c.store
 	stage, task := int(st.stage[s]), int(st.task[s])
+	c.logDispatch(dispatchEvict, jr, stage, task, int(st.machine[s]))
 	jr.evictions++
 	if st.flags[s]&flagDup != 0 {
 		c.cancelCopy(jr, s)
@@ -714,21 +736,95 @@ func (c *Cluster) freeMachine() int {
 // restructure over the whole dispatch wave (and assigns the exact insertion
 // sequences the per-task pushes would have, since nothing else pushes
 // mid-pass).
+//
+// The pass is incremental (DESIGN.md §14): it reclassifies only the jobs
+// touched since the previous pass, walks only the hungry sets, and picks
+// spare winners from per-weight heaps, so its cost follows what changed
+// rather than how many jobs are live. The retired full-walk pass is kept
+// as the reference in refpass_test.go, and tests diff the two dispatch by
+// dispatch.
 func (c *Cluster) reschedule() {
-	c.reclassify()
-	c.dispatchGuaranteed()
-	c.dispatchSpare()
+	if c.hooks != nil {
+		c.hookedPass()
+	} else {
+		c.pass()
+	}
 	if len(c.endBatch) > 0 {
 		c.q.PushBatch(c.endBatch)
 		c.endBatch = c.endBatch[:0]
 	}
 }
 
-// reclassify restores, per job, the invariant that the guaranteed class is
-// exactly the job's effectiveGuarantee() earliest-started primaries (by the
-// taskStore.less total order) and everything else is spare. Earlier engines
-// re-derived the partition from scratch with a full sort per pass; here it is
-// repaired incrementally from the class heaps:
+func (c *Cluster) pass() {
+	c.work.passes++
+	c.reclassifyDirty()
+	if invariant.Debug {
+		c.checkRanks()
+		c.checkSets()
+	}
+	c.dispatchGuaranteed()
+	c.dispatchSpare()
+	if invariant.Debug {
+		c.checkSets()
+	}
+}
+
+// hookedPass runs the pass a test asked for and reports its work.
+func (c *Cluster) hookedPass() {
+	if c.hooks.reference != nil {
+		c.hooks.reference(c)
+		return
+	}
+	before := c.work
+	c.pass()
+	if c.hooks.afterPass != nil {
+		c.hooks.afterPass(c.work.since(before))
+	}
+}
+
+// touch marks a job whose running set, guarantee, or ready queue changed:
+// the next pass reclassifies it and re-derives its hungry and spare
+// membership. Every such change calls touch — arrival, task end, eviction,
+// dispatch, a new guarantee, completion — so a job the pass skips is one
+// whose previous pass left it exactly as the retired full walk would.
+//
+//jockey:hotpath
+func (c *Cluster) touch(jr *jobRun) {
+	if !jr.dirty {
+		jr.dirty = true
+		c.dirty = append(c.dirty, jr)
+	}
+}
+
+// reclassifyDirty opens a pass: it reads the contention factor once (a
+// change dirties every live job, since every effective guarantee moved),
+// then reclassifies and re-syncs each dirty job.
+//
+//jockey:hotpath
+func (c *Cluster) reclassifyDirty() {
+	if f := c.contentionFrac(); f != c.frac {
+		c.frac = f
+		for _, jr := range c.live {
+			c.touch(jr)
+		}
+	}
+	for _, jr := range c.dirty {
+		jr.dirty = false
+		if jr.arrived && !jr.completed {
+			c.reclassify(jr)
+		}
+		c.sync(jr)
+	}
+	c.work.dirty += len(c.dirty)
+	c.work.visits += len(c.dirty)
+	c.dirty = c.dirty[:0]
+}
+
+// reclassify restores, for one job, the invariant that the guaranteed class
+// is exactly the job's effectiveGuarantee() earliest-started primaries (by
+// the taskStore.less total order) and everything else is spare. Earlier
+// engines re-derived the partition from scratch with a full sort per pass;
+// here it is repaired incrementally from the class heaps:
 //
 //  1. count rebalance — while the guaranteed class is too big, demote its
 //     maximum (latest-started) member; while too small, promote the spare
@@ -739,88 +835,123 @@ func (c *Cluster) reschedule() {
 // Step 2 strictly shrinks the number of cross-class inversions each swap, so
 // it terminates with min(spare) ≥ max(guaranteed): with the class sizes fixed
 // by step 1, that is precisely the rank partition the full sort produced.
+// On a job untouched since its last reclassify both steps are no-ops, which
+// is why the pass visits dirty jobs only.
 //
 //jockey:hotpath
-func (c *Cluster) reclassify() {
+func (c *Cluster) reclassify(jr *jobRun) {
+	if jr.liveRunning == 0 {
+		return
+	}
 	st := &c.store
-	for _, jr := range c.live {
-		if jr.liveRunning == 0 {
-			continue
+	target := c.effectiveGuarantee(jr)
+	if jr.liveRunning < target {
+		target = jr.liveRunning
+	}
+	for jr.guarCount > target {
+		s := jr.guarHeap.s[0]
+		st.maxRemove(&jr.guarHeap, s)
+		st.flags[s] &^= flagGuar
+		st.maxPush(&jr.spareMax, s)
+		st.minPush(&jr.spareMin, s)
+		jr.guarCount--
+	}
+	for jr.guarCount < target {
+		s := jr.spareMin.s[0]
+		st.minRemove(&jr.spareMin, s)
+		st.maxRemove(&jr.spareMax, s)
+		st.flags[s] |= flagGuar
+		st.maxPush(&jr.guarHeap, s)
+		jr.guarCount++
+	}
+	for len(jr.spareMin.s) > 0 && len(jr.guarHeap.s) > 0 &&
+		st.less(jr.spareMin.s[0], jr.guarHeap.s[0]) {
+		g := jr.guarHeap.s[0]
+		sp := jr.spareMin.s[0]
+		st.maxRemove(&jr.guarHeap, g)
+		st.flags[g] &^= flagGuar
+		st.maxPush(&jr.spareMax, g)
+		st.minPush(&jr.spareMin, g)
+		st.minRemove(&jr.spareMin, sp)
+		st.maxRemove(&jr.spareMax, sp)
+		st.flags[sp] |= flagGuar
+		st.maxPush(&jr.guarHeap, sp)
+	}
+}
+
+// rank is the job's hungry set: tracked (SLO) jobs rank first, since
+// admission control promised them their guarantees, so they win when
+// guarantees are over-subscribed; job-id order within each.
+//
+//jockey:hotpath
+func (jr *jobRun) rank() int {
+	if jr.cfg.Tracked {
+		return 0
+	}
+	return 1
+}
+
+// sync re-derives the job's membership in the hungry and spare sets from
+// its current state. The pass calls it on every dirty job and after every
+// mutation it makes itself, so both sets are exact whenever a dispatcher
+// reads them.
+//
+//jockey:hotpath
+func (c *Cluster) sync(jr *jobRun) {
+	live := jr.arrived && !jr.completed
+	pending := jr.readyLen() > 0
+	h := &c.hungry[jr.rank()]
+	if want := live && pending && jr.guarCount < c.effectiveGuarantee(jr); want != h.get(jr.id) {
+		if want {
+			h.set(jr.id)
+		} else {
+			h.clear(jr.id)
 		}
-		target := c.effectiveGuarantee(jr)
-		if jr.liveRunning < target {
-			target = jr.liveRunning
-		}
-		for jr.guarCount > target {
-			s := jr.guarHeap.s[0]
-			st.maxRemove(&jr.guarHeap, s)
-			st.flags[s] &^= flagGuar
-			st.maxPush(&jr.spareMax, s)
-			st.minPush(&jr.spareMin, s)
-			jr.guarCount--
-		}
-		for jr.guarCount < target {
-			s := jr.spareMin.s[0]
-			st.minRemove(&jr.spareMin, s)
-			st.maxRemove(&jr.spareMax, s)
-			st.flags[s] |= flagGuar
-			st.maxPush(&jr.guarHeap, s)
-			jr.guarCount++
-		}
-		for len(jr.spareMin.s) > 0 && len(jr.guarHeap.s) > 0 &&
-			st.less(jr.spareMin.s[0], jr.guarHeap.s[0]) {
-			g := jr.guarHeap.s[0]
-			sp := jr.spareMin.s[0]
-			st.maxRemove(&jr.guarHeap, g)
-			st.flags[g] &^= flagGuar
-			st.maxPush(&jr.spareMax, g)
-			st.minPush(&jr.spareMin, g)
-			st.minRemove(&jr.spareMin, sp)
-			st.maxRemove(&jr.spareMax, sp)
-			st.flags[sp] |= flagGuar
-			st.maxPush(&jr.guarHeap, sp)
+	}
+	if want := live && pending && !jr.cfg.NoSpare; want != (jr.spareClass >= 0) {
+		if want {
+			c.spare.add(jr)
+		} else {
+			c.spare.remove(jr)
 		}
 	}
 }
 
-// guaranteedOrder returns the live jobs with tracked (SLO) jobs first, then
-// arrival order: admission control promised SLO jobs their guarantees, so
-// they win when guarantees are over-subscribed. Only live jobs are walked —
-// completed and not-yet-arrived jobs were skipped by the dispatcher anyway.
-func (c *Cluster) guaranteedOrder() []*jobRun {
-	out := c.scratchJobs[:0]
-	for _, jr := range c.live {
-		if jr.cfg.Tracked {
-			out = append(out, jr)
-		}
-	}
-	for _, jr := range c.live {
-		if !jr.cfg.Tracked {
-			out = append(out, jr)
-		}
-	}
-	c.scratchJobs = out
-	return out
-}
-
+// dispatchGuaranteed serves guaranteed demand in rank order — the tracked
+// hungry set, then the untracked one, job-id order within each — evicting
+// the youngest spare task when the cluster is full. The walk takes the
+// next hungry job after the current one, which keeps the retired
+// snapshot-walk semantics exactly: a victim whose evicted task makes it
+// hungry later in rank order is still visited this pass; one earlier in
+// rank order waits for the next pass.
+//
+//jockey:hotpath
 func (c *Cluster) dispatchGuaranteed() {
-	for _, jr := range c.guaranteedOrder() {
-		eff := c.effectiveGuarantee(jr)
-		for jr.guarCount < eff && jr.readyLen() > 0 {
-			r, _ := jr.popReady()
-			mi := c.freeMachineFor(jr, r.stage, r.task)
-			if mi < 0 {
-				vs, vjob := c.youngestSpare()
-				if vs < 0 {
-					// Every slot is running guaranteed work; put the task
-					// back for the next scheduling pass.
-					jr.markReady(c.now, r.stage, r.task)
-					return
+	for k := range c.hungry {
+		h := &c.hungry[k]
+		for id := h.next(0); id >= 0; id = h.next(id + 1) {
+			jr := c.jobs[id]
+			c.work.visits++
+			eff := c.effectiveGuarantee(jr)
+			for jr.guarCount < eff && jr.readyLen() > 0 {
+				r, _ := jr.popReady()
+				mi := c.freeMachineFor(jr, r.stage, r.task)
+				if mi < 0 {
+					vs, vjob := c.youngestSpare()
+					if vs < 0 {
+						// Every slot is running guaranteed work; put the task
+						// back for the next scheduling pass.
+						jr.markReady(c.now, r.stage, r.task)
+						c.sync(jr)
+						return
+					}
+					mi = int(c.store.machine[vs])
+					c.evictTask(vjob, vs)
+					c.sync(vjob)
 				}
-				mi = int(c.store.machine[vs])
-				c.evictTask(vjob, vs)
+				c.startTask(jr, r, mi, true)
 			}
-			c.startTask(jr, r, mi, true)
+			c.sync(jr)
 		}
 	}
 }
@@ -831,10 +962,12 @@ func (c *Cluster) dispatchGuaranteed() {
 // duplicates), so the cluster-wide pick costs one comparison per job instead
 // of the full task scan of earlier engines. Ties across jobs cannot break
 // differently from the retired scan: it compared with a strict less, so the
-// first job in c.jobs order kept the pick, exactly as this loop does.
+// first job in c.jobs order kept the pick, exactly as this loop does. This
+// is the one live-job walk left in the pass; it runs only on an eviction.
 //
 //jockey:hotpath
 func (c *Cluster) youngestSpare() (int32, *jobRun) {
+	c.work.evictionScans++
 	st := &c.store
 	best := int32(-1)
 	var bestJob *jobRun
@@ -853,6 +986,10 @@ func (c *Cluster) youngestSpare() (int32, *jobRun) {
 	return best, bestJob
 }
 
+// dispatchSpare fills every free slot: one spare-set round per slot (see
+// spareSet), and once no job has fresh work, speculative duplicates.
+//
+//jockey:hotpath
 func (c *Cluster) dispatchSpare() {
 	if len(c.live) == 0 {
 		return
@@ -863,39 +1000,9 @@ func (c *Cluster) dispatchSpare() {
 		if mi < 0 {
 			return
 		}
-		// Smooth weighted round-robin over jobs with pending work: each
-		// eligible job accrues credit proportional to its weight, the
-		// highest-credit job gets the slot, and its credit is charged the
-		// total weight. Over time a job receives spare slots in proportion
-		// to its weight (the cluster's weighted fair sharing).
-		eligible := c.scratchJobs[:0]
-		totalWeight := 0.0
-		for _, jr := range c.live {
-			if jr.cfg.NoSpare || jr.readyLen() == 0 {
-				continue
-			}
-			eligible = append(eligible, jr)
-			totalWeight += float64(jr.cfg.Weight)
-		}
-		c.scratchJobs = eligible
-		dispatched := false
-		if len(eligible) > 0 {
-			var pick *jobRun
-			for _, jr := range eligible {
-				jr.spareCredit += float64(jr.cfg.Weight)
-				if pick == nil || jr.spareCredit > pick.spareCredit {
-					pick = jr
-				}
-			}
-			pick.spareCredit -= totalWeight
-			r, _ := pick.popReady()
-			if local := c.freeMachineFor(pick, r.stage, r.task); local >= 0 {
-				mi = local
-			}
-			c.startTask(pick, r, mi, false)
-			dispatched = true
-		}
-		if !dispatched {
+		pick, visited := c.spare.pick()
+		c.work.visits += visited
+		if pick == nil {
 			// No fresh work anywhere: spend truly idle slots on speculative
 			// duplicates of straggling tasks.
 			if !c.dispatchDuplicate(mi) {
@@ -903,11 +1010,23 @@ func (c *Cluster) dispatchSpare() {
 			}
 			continue
 		}
+		r, _ := pick.popReady()
+		if local := c.freeMachineFor(pick, r.stage, r.task); local >= 0 {
+			mi = local
+		}
+		c.startTask(pick, r, mi, false)
+		c.sync(pick)
 		idle++
-		if idle > 1<<20 { // guard the Assertf so its args only box on failure
-			invariant.Assertf(false, "cluster: spare dispatch runaway at t=%v (machine %d)", c.now, mi)
+		if idle > 1<<20 {
+			c.spareRunaway(mi)
 		}
 	}
+}
+
+// spareRunaway reports a spare dispatch loop that never ran out of slots;
+// kept off the hot path so the assertion's arguments box only on failure.
+func (c *Cluster) spareRunaway(mi int) {
+	invariant.Assertf(false, "cluster: spare dispatch runaway at t=%v (machine %d)", c.now, mi)
 }
 
 // dispatchDuplicate launches a speculative copy of the most-overdue
@@ -916,10 +1035,15 @@ func (c *Cluster) dispatchSpare() {
 // running primary, walked through the job's two primary heaps (heap layout
 // order, which is fine: the scan keeps a strict best with deterministic
 // tie-breaks, so the winner is order-independent, exactly as with the
-// retired map walk).
+// retired map walk). When no live job speculates — every fleet replay —
+// there is nothing to walk.
 //
 //jockey:hotpath
 func (c *Cluster) dispatchDuplicate(mi int) bool {
+	if c.specLive == 0 {
+		return false
+	}
+	c.work.visits += len(c.live)
 	st := &c.store
 	worst := int32(-1)
 	var worstJob *jobRun
@@ -995,6 +1119,9 @@ func (c *Cluster) startDuplicate(jr *jobRun, orig int32, machine int) {
 	st.maxPush(&jr.dupHeap, s)
 	jr.duplicates++
 	c.attachMachine(machine, s)
+	c.touch(jr)
+	c.work.dispatched++
+	c.logDispatch(dispatchDup, jr, stage, task, machine)
 	c.endBatch = append(c.endBatch, eventq.Entry[event]{At: c.now + initDelay + exec, V: event{
 		kind:    evTaskEnd,
 		job:     jr.id,
@@ -1050,6 +1177,13 @@ func (c *Cluster) startTask(jr *jobRun, r taskRef, machine int, guaranteed bool)
 	jr.liveRunning++
 	c.totalRunning++
 	c.attachMachine(machine, s)
+	c.touch(jr)
+	c.work.dispatched++
+	if guaranteed {
+		c.logDispatch(dispatchGuar, jr, r.stage, r.task, machine)
+	} else {
+		c.logDispatch(dispatchSpare, jr, r.stage, r.task, machine)
+	}
 	c.endBatch = append(c.endBatch, eventq.Entry[event]{At: c.now + initDelay + exec, V: event{
 		kind:    evTaskEnd,
 		job:     jr.id,
@@ -1080,3 +1214,61 @@ func localityFraction(jr *jobRun) float64 {
 
 // maxClusterAttempts bounds re-execution of a failing task.
 const maxClusterAttempts = 30
+
+// passWork counts what scheduling passes did since the cluster (re)started:
+// passes run, dirty jobs reclassified, jobs visited (dirty jobs, hungry-set
+// entries walked, spare class tops compared, speculation candidates
+// scanned) and attempts dispatched. The per-pass work guard holds visits
+// within a constant of dirty + dispatched + 1 on every pass.
+// evictionScans counts youngestSpare's live walks, the one O(live) step
+// left, which runs only when guaranteed demand finds the cluster full.
+type passWork struct {
+	passes, dirty, visits, dispatched, evictionScans int
+}
+
+// since returns the work done after the snapshot before was taken.
+func (w passWork) since(before passWork) passWork {
+	return passWork{
+		passes:        w.passes - before.passes,
+		dirty:         w.dirty - before.dirty,
+		visits:        w.visits - before.visits,
+		dispatched:    w.dispatched - before.dispatched,
+		evictionScans: w.evictionScans - before.evictionScans,
+	}
+}
+
+// testHooks are the test seams of the scheduling pass. Cluster.hooks is nil
+// in production; this package's tests set it to run the retired reference
+// pass instead of the incremental one, to log every dispatch, or to check
+// each pass's work.
+type testHooks struct {
+	reference func(c *Cluster)
+	dispatch  func(d dispatchRec)
+	afterPass func(w passWork)
+}
+
+type dispatchKind uint8
+
+const (
+	dispatchGuar  dispatchKind = iota // primary started on guaranteed tokens
+	dispatchSpare                     // primary started on spare tokens
+	dispatchDup                       // speculative duplicate started
+	dispatchEvict                     // running attempt evicted or killed
+)
+
+// dispatchRec is one entry of the dispatch log a test hook receives.
+type dispatchRec struct {
+	at                        time.Duration
+	kind                      dispatchKind
+	job, stage, task, machine int32
+}
+
+// logDispatch feeds the test dispatch log, if one is installed.
+//
+//jockey:hotpath
+func (c *Cluster) logDispatch(kind dispatchKind, jr *jobRun, stage, task, machine int) {
+	if c.hooks != nil && c.hooks.dispatch != nil {
+		c.hooks.dispatch(dispatchRec{at: c.now, kind: kind, job: int32(jr.id),
+			stage: int32(stage), task: int32(task), machine: int32(machine)})
+	}
+}

@@ -20,35 +20,7 @@ import (
 //     finishes).
 func TestConservationProperty(t *testing.T) {
 	f := func(seed uint64, rawTasks uint8, rawG uint8) bool {
-		mapTasks := 10 + int(rawTasks)%60
-		guarantee := 1 + int(rawG)%10
-		job := dag.NewBuilder("prop").
-			Stage("map", mapTasks).
-			Stage("reduce", 1+mapTasks/8).
-			Edge("map", "reduce", dag.AllToAll).
-			MustBuild()
-		p := profile.MustNew(job, []profile.StageProfile{
-			{Exec: stats.LognormalFromMedian(4*time.Second, 12*time.Second),
-				Queue: stats.Exponential{MeanValue: time.Second}, FailureProb: 0.08},
-			{Exec: stats.LognormalFromMedian(8*time.Second, 20*time.Second)},
-		})
-		c, err := New(Config{
-			Machines:        6,
-			SlotsPerMachine: 3,
-			MachineMTBF:     4 * time.Minute, // aggressive failure injection
-			MachineRecovery: stats.Point{V: time.Minute},
-			Seed:            seed,
-		})
-		if err != nil {
-			return false
-		}
-		bg := profile.MustNew(dag.NewBuilder("bg").Stage("work", 100).MustBuild(),
-			[]profile.StageProfile{{Exec: stats.Point{V: 20 * time.Second}}})
-		if _, err := c.Submit(JobConfig{Profile: bg, Guarantee: 2}); err != nil {
-			return false
-		}
-		h, err := c.Submit(JobConfig{Profile: p, Guarantee: guarantee,
-			Deadline: time.Hour, Tracked: true, Start: 30 * time.Second})
+		c, h, job, err := conservationScenario(seed, rawTasks, rawG)
 		if err != nil {
 			return false
 		}
@@ -111,65 +83,111 @@ func TestConservationProperty(t *testing.T) {
 	}
 }
 
+// conservationScenario is TestConservationProperty's randomized cluster:
+// a background job plus a tracked map/reduce job with task failures, under
+// aggressive machine failures, sized by the quick-check inputs. It returns
+// the cluster ready to Run.
+func conservationScenario(seed uint64, rawTasks uint8, rawG uint8) (*Cluster, *Handle, *dag.Job, error) {
+	mapTasks := 10 + int(rawTasks)%60
+	guarantee := 1 + int(rawG)%10
+	job := dag.NewBuilder("prop").
+		Stage("map", mapTasks).
+		Stage("reduce", 1+mapTasks/8).
+		Edge("map", "reduce", dag.AllToAll).
+		MustBuild()
+	p := profile.MustNew(job, []profile.StageProfile{
+		{Exec: stats.LognormalFromMedian(4*time.Second, 12*time.Second),
+			Queue: stats.Exponential{MeanValue: time.Second}, FailureProb: 0.08},
+		{Exec: stats.LognormalFromMedian(8*time.Second, 20*time.Second)},
+	})
+	c, err := New(Config{
+		Machines:        6,
+		SlotsPerMachine: 3,
+		MachineMTBF:     4 * time.Minute, // aggressive failure injection
+		MachineRecovery: stats.Point{V: time.Minute},
+		Seed:            seed,
+	})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	bg := profile.MustNew(dag.NewBuilder("bg").Stage("work", 100).MustBuild(),
+		[]profile.StageProfile{{Exec: stats.Point{V: 20 * time.Second}}})
+	if _, err := c.Submit(JobConfig{Profile: bg, Guarantee: 2}); err != nil {
+		return nil, nil, nil, err
+	}
+	h, err := c.Submit(JobConfig{Profile: p, Guarantee: guarantee,
+		Deadline: time.Hour, Tracked: true, Start: 30 * time.Second})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return c, h, job, nil
+}
+
+// combinedFaultScenario is TestCombinedFaultInvariants' cluster: every
+// disruption the simulator can produce — random machine failures, two
+// overlapping rack outages, a token contention window, mid-run runtime
+// drift, speculation, and a deadline change — on one tracked job beside a
+// background job. It returns the cluster ready to Run.
+func combinedFaultScenario(t testing.TB) (*Cluster, *Handle) {
+	t.Helper()
+	c, err := New(Config{
+		Machines:        8,
+		SlotsPerMachine: 3,
+		MachineMTBF:     3 * time.Minute,
+		MachineRecovery: stats.Point{V: time.Minute},
+		Seed:            42,
+		RackOutages: []RackOutage{
+			{At: 40 * time.Second, FirstMachine: 0, Machines: 3, Duration: 90 * time.Second},
+			{At: 70 * time.Second, FirstMachine: 2, Machines: 2, Duration: time.Minute},
+		},
+		Contention: []ContentionWindow{
+			{From: 50 * time.Second, To: 3 * time.Minute, Frac: 0.5},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := dag.NewBuilder("chaos").
+		Stage("map", 40).
+		Stage("reduce", 6).
+		Edge("map", "reduce", dag.AllToAll).
+		MustBuild()
+	p := profile.MustNew(job, []profile.StageProfile{
+		{Exec: stats.LognormalFromMedian(8*time.Second, 25*time.Second),
+			Queue: stats.Exponential{MeanValue: time.Second}, FailureProb: 0.05},
+		{Exec: stats.LognormalFromMedian(15*time.Second, 40*time.Second)},
+	})
+	bg := profile.MustNew(dag.NewBuilder("bg").Stage("work", 60).MustBuild(),
+		[]profile.StageProfile{{Exec: stats.Point{V: 20 * time.Second}}})
+	if _, err := c.Submit(JobConfig{Profile: bg, Guarantee: 4}); err != nil {
+		t.Fatal(err)
+	}
+	h, err := c.Submit(JobConfig{
+		Profile: p, Guarantee: 8, Deadline: 20 * time.Minute,
+		Tracked: true, Start: 20 * time.Second,
+		SpeculativeThreshold: 1.5,
+		Drifts: []StageDrift{
+			{At: 30 * time.Second, Stage: 0, Factor: 1.7},
+			{At: time.Minute, Stage: -1, Factor: 1.3},
+		},
+		DeadlineChanges: []DeadlineChange{
+			{At: 90 * time.Second, Deadline: 30 * time.Minute},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, h
+}
+
 // TestCombinedFaultInvariants piles every disruption the simulator can
 // produce onto one run — random machine failures, a rack outage, a token
 // contention window, mid-run runtime drift, speculation, and deadline
 // changes — and checks that the bookkeeping invariants survive and the run
 // replays bit-identically.
 func TestCombinedFaultInvariants(t *testing.T) {
-	build := func() (*Cluster, *Handle) {
-		t.Helper()
-		c, err := New(Config{
-			Machines:        8,
-			SlotsPerMachine: 3,
-			MachineMTBF:     3 * time.Minute,
-			MachineRecovery: stats.Point{V: time.Minute},
-			Seed:            42,
-			RackOutages: []RackOutage{
-				{At: 40 * time.Second, FirstMachine: 0, Machines: 3, Duration: 90 * time.Second},
-				{At: 70 * time.Second, FirstMachine: 2, Machines: 2, Duration: time.Minute},
-			},
-			Contention: []ContentionWindow{
-				{From: 50 * time.Second, To: 3 * time.Minute, Frac: 0.5},
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		job := dag.NewBuilder("chaos").
-			Stage("map", 40).
-			Stage("reduce", 6).
-			Edge("map", "reduce", dag.AllToAll).
-			MustBuild()
-		p := profile.MustNew(job, []profile.StageProfile{
-			{Exec: stats.LognormalFromMedian(8*time.Second, 25*time.Second),
-				Queue: stats.Exponential{MeanValue: time.Second}, FailureProb: 0.05},
-			{Exec: stats.LognormalFromMedian(15*time.Second, 40*time.Second)},
-		})
-		bg := profile.MustNew(dag.NewBuilder("bg").Stage("work", 60).MustBuild(),
-			[]profile.StageProfile{{Exec: stats.Point{V: 20 * time.Second}}})
-		if _, err := c.Submit(JobConfig{Profile: bg, Guarantee: 4}); err != nil {
-			t.Fatal(err)
-		}
-		h, err := c.Submit(JobConfig{
-			Profile: p, Guarantee: 8, Deadline: 20 * time.Minute,
-			Tracked: true, Start: 20 * time.Second,
-			SpeculativeThreshold: 1.5,
-			Drifts: []StageDrift{
-				{At: 30 * time.Second, Stage: 0, Factor: 1.7},
-				{At: time.Minute, Stage: -1, Factor: 1.3},
-			},
-			DeadlineChanges: []DeadlineChange{
-				{At: 90 * time.Second, Deadline: 30 * time.Minute},
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c, h
-	}
 	run := func() Result {
-		c, h := build()
+		c, h := combinedFaultScenario(t)
 		if err := c.Run(); err != nil {
 			t.Fatal(err)
 		}

@@ -15,6 +15,8 @@ type arrival struct {
 	id    int
 	at    time.Duration
 	shape Shape
+	// key is shape.Key(), formatted once per distinct shape of the stream.
+	key string
 	// value scales the job's utility curve (paper §3: "the importance
 	// (weight) of the job"). Also the job's spare-token weight.
 	value int
@@ -28,7 +30,7 @@ type arrival struct {
 // fleetShapes is the quantized shape table arrivals draw from. Keeping it
 // small means a whole load × fault experiment grid shares four profiles and
 // four C(p, a) models through one ModelCache.
-var fleetShapes = []Shape{
+var fleetShapes = [...]Shape{
 	{Tasks: 64},
 	{Tasks: 96, Barrier: true},
 	{Tasks: 144},
@@ -52,21 +54,31 @@ func genArrivals(cfg *Config, models *ModelCache) ([]arrival, error) {
 	rng := stats.NewRNG(stats.DeriveSeed(cfg.Seed, "fleet-arrivals"))
 	mean := float64(cfg.MeanInterarrival) / cfg.LoadFactor
 	arrivals := make([]arrival, 0, cfg.Arrivals)
+	// keys memoizes Shape.Key per shape-table entry and scale: formatting
+	// it per offer was a sizable share of a fleet replay's allocations.
+	var keys [len(fleetShapes)][2]string
 	at := time.Duration(0)
 	for i := 0; i < cfg.Arrivals; i++ {
 		// Draw in a fixed field order so the stream is stable under
 		// refactoring of any single field's choices.
 		gap := time.Duration(rng.ExpFloat64() * mean)
-		shape := fleetShapes[rng.IntN(len(fleetShapes))]
-		if rng.IntN(2) == 1 {
+		si := rng.IntN(len(fleetShapes))
+		shape := fleetShapes[si]
+		scaled := rng.IntN(2)
+		if scaled == 1 {
 			shape.Scale = 1.2
+		}
+		key := keys[si][scaled]
+		if key == "" {
+			key = shape.Key()
+			keys[si][scaled] = key
 		}
 		tight := fleetTightness[rng.IntN(len(fleetTightness))]
 		value := fleetValues[rng.IntN(len(fleetValues))]
 		at += gap
-		jk, err := models.Model(shape)
+		jk, err := models.model(shape, key)
 		if err != nil {
-			return nil, fmt.Errorf("fleet: model for %s: %w", shape.Key(), err)
+			return nil, fmt.Errorf("fleet: model for %s: %w", key, err)
 		}
 		// The deadline budget is tightness × the model's predicted latency
 		// at the mid-grid allocation, rounded to whole seconds so rendered
@@ -78,6 +90,7 @@ func genArrivals(cfg *Config, models *ModelCache) ([]arrival, error) {
 			id:       i,
 			at:       at,
 			shape:    shape,
+			key:      key,
 			value:    value,
 			deadline: deadline,
 			drift:    drift,

@@ -206,7 +206,7 @@ type fleetJob struct {
 	util        utility.Fn
 	reservation int
 	grant       int
-	wanted      int // last epoch's unconstrained desire, for gap attribution
+	wanted      int       // last epoch's unconstrained desire, for gap attribution
 	utilBuf     []float64 // per-grid utility scratch, sized once at admission
 	latched     bool
 	finalized   bool
@@ -278,17 +278,17 @@ func Run(cfg Config) (*Result, error) {
 	}
 	r.res.Jobs = make([]JobRecord, len(arrivals))
 	for i, arr := range arrivals {
-		jk, err := models.Model(arr.shape)
+		jk, err := models.model(arr.shape, arr.key)
 		if err != nil {
-			return nil, fmt.Errorf("fleet: model for %s: %w", arr.shape.Key(), err)
+			return nil, fmt.Errorf("fleet: model for %s: %w", arr.key, err)
 		}
-		prof, err := models.Profile(arr.shape)
+		prof, err := models.profile(arr.shape, arr.key)
 		if err != nil {
-			return nil, fmt.Errorf("fleet: profile for %s: %w", arr.shape.Key(), err)
+			return nil, fmt.Errorf("fleet: profile for %s: %w", arr.key, err)
 		}
 		r.res.Jobs[i] = JobRecord{
 			ID:       arr.id,
-			Shape:    arr.shape.Key(),
+			Shape:    arr.key,
 			Value:    arr.value,
 			Drift:    arr.drift,
 			Arrival:  arr.at,

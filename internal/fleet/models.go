@@ -88,7 +88,12 @@ func (m *ModelCache) MaxTokens() int { return m.maxTokens }
 // is stable across calls (and so is its *dag.Job plan), which lets reusable
 // cluster engines pool arenas across every job of the shape.
 func (m *ModelCache) Profile(s Shape) (*profile.Profile, error) {
-	return m.profiles.Get(s.Key(), func() (*profile.Profile, error) {
+	return m.profile(s, s.Key())
+}
+
+// profile is Profile for a caller that already holds the shape's key.
+func (m *ModelCache) profile(s Shape, key string) (*profile.Profile, error) {
+	return m.profiles.Get(key, func() (*profile.Profile, error) {
 		m.mu.Lock()
 		base, err := m.pool.Shape(workload.BackgroundConfig{}, s.Tasks, s.Barrier)
 		m.mu.Unlock()
@@ -107,15 +112,20 @@ func (m *ModelCache) Profile(s Shape) (*profile.Profile, error) {
 // Model returns the shared Jockey runtime (offline C(p, a) model) for a
 // shape, building it single-flight on first use.
 func (m *ModelCache) Model(s Shape) (*core.Jockey, error) {
-	return m.models.Get(s.Key(), func() (*core.Jockey, error) {
-		p, err := m.Profile(s)
+	return m.model(s, s.Key())
+}
+
+// model is Model for a caller that already holds the shape's key.
+func (m *ModelCache) model(s Shape, key string) (*core.Jockey, error) {
+	return m.models.Get(key, func() (*core.Jockey, error) {
+		p, err := m.profile(s, key)
 		if err != nil {
 			return nil, err
 		}
 		return core.New(p, core.Options{
 			MaxTokens:    m.maxTokens,
 			RunsPerAlloc: m.runsPerAlloc,
-			Seed:         stats.DeriveSeed(m.seed, "fleet-model", s.Key()),
+			Seed:         stats.DeriveSeed(m.seed, "fleet-model", key),
 			Parallelism:  m.parallelism,
 		})
 	})

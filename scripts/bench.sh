@@ -24,9 +24,11 @@
 #     internal/cluster: BenchmarkEngineLargeCluster (10k machines, ≥1e5 tasks)
 #     internal/cluster: BenchmarkEngineMidCluster   (1/10 scale trend line)
 #   fleetscale — thousands-of-jobs arbitration + arrival-wave batching (the
-#   PR-10 fleet-scale contract):
-#     internal/fleet:  BenchmarkFleetScaleReplay (2,400-offer replay)
-#     internal/eventq: BenchmarkArrivalWaveSingle/Batch (5e5-event wave)
+#   fleet-scale contract, DESIGN.md §15) and the incremental scheduling pass
+#   (§14):
+#     internal/fleet:   BenchmarkFleetScaleReplay (2,400-offer replay)
+#     internal/eventq:  BenchmarkArrivalWaveSingle/Batch (5e5-event wave)
+#     internal/cluster: BenchmarkReschedulePerEvent (10/100/1,000 live jobs)
 #
 # Output files may carry hand-added "baseline_*" blocks recording pre-change
 # numbers (BENCH_largecluster.json does); those are history, so the script
@@ -72,6 +74,7 @@ largecluster)
 fleetscale)
   run ./internal/fleet 'BenchmarkFleetScaleReplay$' "${BENCHTIME:-3x}"
   run ./internal/eventq 'BenchmarkArrivalWave' "${BENCHTIME:-5x}"
+  run ./internal/cluster 'BenchmarkReschedulePerEvent' "${BENCHTIME:-3x}"
   ;;
 *)
   echo "bench.sh: unknown suite '$SUITE' (want simcore, grid, fleet, largecluster or fleetscale)" >&2
@@ -91,14 +94,16 @@ BEGIN { n = 0 }
 /^Benchmark/ {
   name = $1
   sub(/-[0-9]+$/, "", name) # strip GOMAXPROCS suffix
-  ns = ""; bytes = ""; allocs = ""
+  ns = ""; bytes = ""; allocs = ""; nsev = ""
   for (i = 2; i < NF; i++) {
     if ($(i + 1) == "ns/op") ns = $i
     if ($(i + 1) == "B/op") bytes = $i
     if ($(i + 1) == "allocs/op") allocs = $i
+    if ($(i + 1) == "ns/event") nsev = $i
   }
   if (ns == "") next
   line = sprintf("    {\"name\": \"%s\", \"ns_per_op\": %s", name, ns)
+  if (nsev != "") line = line sprintf(", \"ns_per_event\": %s", nsev)
   if (bytes != "") line = line sprintf(", \"bytes_per_op\": %s", bytes)
   if (allocs != "") line = line sprintf(", \"allocs_per_op\": %s", allocs)
   line = line "}"
