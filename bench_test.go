@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"github.com/jockeysim/jockey/internal/cluster"
+	"github.com/jockeysim/jockey/internal/core"
 	"github.com/jockeysim/jockey/internal/dag"
 	"github.com/jockeysim/jockey/internal/experiments"
 	"github.com/jockeysim/jockey/internal/model"
@@ -216,8 +217,11 @@ func BenchmarkFigure13HysteresisSweep(b *testing.B) {
 // BenchmarkSimulatorThroughput measures the offline job simulator on job F
 // (6139 vertices); the reported tasks/op quantifies the event engine. The
 // one-shot variant pays a fresh engine per run (the compatibility path);
-// the reused variant is what the model builds actually do — one Runner's
-// arenas recycled across runs.
+// the reused variant recycles one Runner's arenas across traced runs; the
+// completion-only variant is what the model builds actually do — the same
+// runs without recording a trace (Runner.RunCompletion). The reused
+// variants warm their Runner outside the timer, so allocs/op does not
+// depend on -benchtime.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	p := workload.MustGenerate(mustSpec(b, "F"), 1)
 	b.Run("one-shot", func(b *testing.B) {
@@ -234,6 +238,10 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	})
 	b.Run("reused-runner", func(b *testing.B) {
 		r := sim.NewRunner()
+		if _, err := r.Run(sim.Config{Profile: p, Alloc: 50, Seed: 0}); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			tr, err := r.Run(sim.Config{Profile: p, Alloc: 50, Seed: uint64(i)})
 			if err != nil {
@@ -245,14 +253,35 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		}
 		b.ReportMetric(float64(p.Job.TotalTasks()), "tasks/op")
 	})
+	b.Run("completion-only", func(b *testing.B) {
+		r := sim.NewRunner()
+		if _, err := r.RunCompletion(sim.Config{Profile: p, Alloc: 50, Seed: 0}); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			completion, err := r.RunCompletion(sim.Config{Profile: p, Alloc: 50, Seed: uint64(i)})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if completion <= 0 {
+				b.Fatal("no completion")
+			}
+		}
+		b.ReportMetric(float64(p.Job.TotalTasks()), "tasks/op")
+	})
 }
 
 // BenchmarkCPABuild measures the offline model construction for one job —
 // the precomputation Jockey amortizes across runs of a recurring job. The
-// sub-benchmarks vary the worker-pool size; per-cell seeding plus the
+// pN sub-benchmarks vary the worker-pool size; per-cell seeding plus the
 // deterministic merge make every variant build the bit-identical table, so
 // the ratio between p1 and pN is pure wall-clock speedup (bounded by the
-// machine's core count).
+// machine's core count). guard-rebuild is the build a guarded controller
+// runs each time it re-profiles a job: the default 16-allocation grid, 8
+// runs per allocation, one worker, on job E's training profile. It builds
+// the same table every iteration and warms outside the timer, so its
+// allocs/op does not depend on -benchtime.
 func BenchmarkCPABuild(b *testing.B) {
 	p := workload.MustGenerate(mustSpec(b, "E"), 1)
 	ind := progress.NewTotalWorkWithQ(p)
@@ -271,6 +300,29 @@ func BenchmarkCPABuild(b *testing.B) {
 			}
 		})
 	}
+	b.Run("guard-rebuild", func(b *testing.B) {
+		train, err := benchEnv.Training("E")
+		if err != nil {
+			b.Fatal(err)
+		}
+		tind := progress.NewTotalWorkWithQ(train)
+		cfg := model.CPAConfig{
+			Allocs:       core.DefaultGrid(100),
+			RunsPerAlloc: 8,
+			Seed:         1,
+			Parallelism:  1,
+		}
+		if _, err := model.BuildCPA(train, tind, cfg); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := model.BuildCPA(train, tind, cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkOnlineSim measures one control-tick's worth of online forward

@@ -38,8 +38,9 @@ type CPAConfig struct {
 	// Parallelism bounds the worker pool that runs the offline simulations
 	// (default runtime.GOMAXPROCS(0)). The table is bit-identical at any
 	// value: each (alloc, run) cell derives its RNG seed independently of
-	// the others, workers only fill their own cell's sample slice, and the
-	// slices are folded into the reservoirs in fixed index order afterwards.
+	// the others, workers write only their own observation chunks and
+	// their cells' slots, and the observations are folded into the
+	// reservoirs in fixed index order afterwards.
 	Parallelism int
 	// Quantize stores the table's cells as fixed-point int32 milliseconds
 	// instead of time.Duration, halving the table's resident size (the knob
@@ -159,81 +160,75 @@ func BuildCPA(p *profile.Profile, ind progress.Indicator, cfg CPAConfig) (*CPA, 
 		buckets:   cfg.Buckets,
 		cells:     make([][]*stats.Reservoir, len(cfg.Allocs)),
 	}
-	for ai := range c.cells {
-		c.cells[ai] = make([]*stats.Reservoir, cfg.Buckets+1)
-		for b := range c.cells[ai] {
-			c.cells[ai][b] = stats.NewReservoir(cfg.ReservoirCap)
-		}
-	}
 	// Phase 1 — fan out: every (alloc, run) cell is an independent
 	// simulation whose seed depends only on (Seed, alloc, run), so the
 	// worker pool can execute cells in any order on any number of
-	// goroutines. Each worker writes only its own cellObs slot, and holds
-	// one reusable simulation engine plus one sample scratch buffer —
-	// worker identity touches memory reuse only, never results.
-	type obs struct {
-		bucket int
-		v      time.Duration
-	}
-	type sample struct {
-		t time.Duration
-		p float64
-	}
+	// goroutines. Each worker holds one reusable simulation engine and its
+	// own observation chunks, stores each cell's observations there and
+	// writes only its cell's cellObs slot — worker identity touches memory
+	// reuse only, never results.
 	nCells := len(c.allocs) * cfg.RunsPerAlloc
-	cellObs := make([][]obs, nCells)
+	cellObs := make([][]cpaObs, nCells)
 	cellErr := make([]error, nCells)
-	runners := make([]*sim.Runner, cfg.Parallelism)
-	scratch := make([][]sample, cfg.Parallelism)
-	runParallelWorkers(nCells, cfg.Parallelism, func(worker, idx int) {
+	workers := make([]cpaWorker, min(cfg.Parallelism, nCells))
+	allocLabels := make([]string, len(c.allocs))
+	for ai, a := range c.allocs {
+		allocLabels[ai] = strconv.Itoa(a)
+	}
+	runLabels := make([]string, cfg.RunsPerAlloc)
+	for run := range runLabels {
+		runLabels[run] = strconv.Itoa(run)
+	}
+	runParallelWorkers(nCells, len(workers), func(worker, idx int) {
 		ai := idx / cfg.RunsPerAlloc
 		run := idx % cfg.RunsPerAlloc
-		alloc := c.allocs[ai]
-		r := runners[worker]
-		if r == nil {
-			r = sim.NewRunner()
-			runners[worker] = r
+		w := &workers[worker]
+		if w.r == nil {
+			w.init(ind, c.buckets)
 		}
-		samples := scratch[worker][:0]
-		seed := stats.DeriveSeed(cfg.Seed, "cpa", strconv.Itoa(alloc), strconv.Itoa(run))
-		tr, err := r.Run(sim.Config{
+		w.cur = w.cur[:0]
+		completion, err := w.r.RunCompletion(sim.Config{
 			Profile:     p,
-			Alloc:       alloc,
-			Seed:        seed,
+			Alloc:       c.allocs[ai],
+			Seed:        stats.DeriveSeed(cfg.Seed, "cpa", allocLabels[ai], runLabels[run]),
 			SampleEvery: cfg.SampleEvery,
-			OnSample: func(s sim.Snapshot) {
-				// s.FracDone is the Runner's scratch buffer; Progress
-				// consumes it inside the callback, nothing is retained.
-				samples = append(samples, sample{t: s.Time, p: ind.Progress(s.FracDone)})
-			},
+			OnSample:    w.onSample,
 		})
-		scratch[worker] = samples // keep the grown capacity for the next cell
 		if err != nil {
 			cellErr[idx] = err
 			return
 		}
-		// t = 0 with p = 0 is always a valid observation.
-		out := make([]obs, 0, len(samples)+2)
-		out = append(out, obs{bucket: 0, v: tr.Completion})
-		for _, s := range samples {
-			remaining := tr.Completion - s.t
-			if remaining < 0 {
-				continue
-			}
-			out = append(out, obs{bucket: bucketOf(s.p, c.buckets), v: remaining})
-		}
-		// Completion itself: progress 1 has zero remaining time.
-		out = append(out, obs{bucket: c.buckets, v: 0})
-		cellObs[idx] = out
+		cellObs[idx] = w.keep(completion)
 	})
-	// Phase 2 — deterministic merge: fold the per-cell observations into
-	// the reservoirs in fixed (alloc, run) index order with one shared
-	// reservoir RNG. This replays the exact Add sequence of a sequential
-	// build, so the table is bit-identical at any Parallelism.
-	rng := stats.NewRNG(stats.DeriveSeed(cfg.Seed, "cpa-reservoir"))
-	for idx := 0; idx < nCells; idx++ {
-		if err := cellErr[idx]; err != nil {
+	for _, err := range cellErr {
+		if err != nil {
 			return nil, err
 		}
+	}
+	// Phase 2 — deterministic merge. Count each reservoir's offers first,
+	// so every reservoir's storage is carved at its final size from one
+	// array per table; then fold the per-cell observations into the
+	// reservoirs in fixed (alloc, run) index order with one shared
+	// reservoir RNG. This replays the exact Add sequence of a sequential
+	// build, so the table is bit-identical at any Parallelism.
+	row := cfg.Buckets + 1
+	offers := make([]int, len(c.allocs)*row)
+	for idx := 0; idx < nCells; idx++ {
+		ai := idx / cfg.RunsPerAlloc
+		for _, o := range cellObs[idx] {
+			offers[ai*row+o.bucket]++
+		}
+	}
+	reservoirs := stats.NewReservoirs(cfg.ReservoirCap, offers)
+	ptrs := make([]*stats.Reservoir, len(reservoirs))
+	for i := range reservoirs {
+		ptrs[i] = &reservoirs[i]
+	}
+	for ai := range c.cells {
+		c.cells[ai] = ptrs[ai*row : (ai+1)*row : (ai+1)*row]
+	}
+	rng := stats.NewRNG(stats.DeriveSeed(cfg.Seed, "cpa-reservoir"))
+	for idx := 0; idx < nCells; idx++ {
 		ai := idx / cfg.RunsPerAlloc
 		for _, o := range cellObs[idx] {
 			c.cells[ai][o.bucket].Add(o.v, rng)
@@ -280,6 +275,69 @@ func BuildCPA(p *profile.Profile, ind progress.Indicator, cfg CPAConfig) (*CPA, 
 		}
 	}
 	return c, nil
+}
+
+// cpaObs is one observation of a C(p, a) build: a remaining time seen at a
+// progress bucket.
+type cpaObs struct {
+	bucket int
+	v      time.Duration
+}
+
+// cpaWorker is one build worker's reusable state: a simulation engine, the
+// samples of the run in flight, and the chunk it stores finished cells'
+// observations in (earlier chunks stay referenced by their cells'
+// slices). onSample is bound once, so no cell allocates a callback.
+type cpaWorker struct {
+	r        *sim.Runner
+	ind      progress.Indicator
+	buckets  int
+	onSample func(sim.Snapshot)
+	cur      []cpaObs // the run in flight: each sample's bucket and time
+	chunk    []cpaObs // finished cells' observations, cell after cell
+}
+
+// obsChunk is the size of a worker's observation chunks (64 KB). A build
+// whose observations fit one chunk per worker allocates the same number of
+// times whatever its RunsPerAlloc (TestBuildCPAAllocsIndependentOfRuns);
+// larger builds add one allocation per chunk.
+const obsChunk = 4096
+
+func (w *cpaWorker) init(ind progress.Indicator, buckets int) {
+	w.r = sim.NewRunner()
+	w.ind = ind
+	w.buckets = buckets
+	w.onSample = w.sample
+}
+
+// sample records a progress sample's bucket and time. s.FracDone is the
+// Runner's scratch buffer; Progress consumes it inside the callback,
+// nothing is retained.
+func (w *cpaWorker) sample(s sim.Snapshot) {
+	w.cur = append(w.cur, cpaObs{bucket: bucketOf(w.ind.Progress(s.FracDone), w.buckets), v: s.Time})
+}
+
+// keep stores the finished run's observations in the worker's chunk
+// (opening a new one if they do not fit) and returns them: first (p = 0,
+// the completion), then each sample's remaining time, then the completion
+// itself (p = 1, nothing remaining). A chunk is never appended past its
+// capacity, so its backing array never moves and the returned slice stays
+// valid while later cells fill the rest of the chunk.
+func (w *cpaWorker) keep(completion time.Duration) []cpaObs {
+	need := len(w.cur) + 2
+	if cap(w.chunk)-len(w.chunk) < need {
+		w.chunk = make([]cpaObs, 0, max(obsChunk, need))
+	}
+	lo := len(w.chunk)
+	ch := append(w.chunk, cpaObs{bucket: 0, v: completion})
+	for _, o := range w.cur {
+		if remaining := completion - o.v; remaining >= 0 {
+			ch = append(ch, cpaObs{bucket: o.bucket, v: remaining})
+		}
+	}
+	ch = append(ch, cpaObs{bucket: w.buckets})
+	w.chunk = ch
+	return ch[lo:len(ch):len(ch)]
 }
 
 func (c *CPA) bucket(p float64) int { return bucketOf(p, c.buckets) }

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -152,12 +154,11 @@ func TestRunnerValidation(t *testing.T) {
 func TestReadyFIFOCompaction(t *testing.T) {
 	r := NewRunner()
 	// Exercise popReady/markReady directly: push 3000, pop interleaved.
-	r.job = dag.NewBuilder("fifo").Stage("s", 1).MustBuild()
-	r.queuedAt = [][]time.Duration{make([]time.Duration, 3000)}
+	// The runner is untraced, so markReady touches no timestamp arena.
 	next := 0
 	popped := 0
 	for next < 3000 {
-		r.markReady(0, next%1) // stage 0, task 0; identity tracked via order
+		r.markReady(0) // task 0; identity tracked via order
 		next++
 		if next%2 == 0 {
 			if _, ok := r.popReady(); !ok {
@@ -184,14 +185,13 @@ func TestReadyFIFOCompaction(t *testing.T) {
 	// FIFO order with distinct refs across a compaction boundary.
 	r.ready = r.ready[:0]
 	r.readyHead = 0
-	r.queuedAt = [][]time.Duration{make([]time.Duration, 4096)}
 	for i := 0; i < 4096; i++ {
-		r.markReady(0, i)
+		r.markReady(int32(i))
 	}
 	for i := 0; i < 4096; i++ {
-		ref, ok := r.popReady()
-		if !ok || ref.task != i {
-			t.Fatalf("FIFO order broken at %d: got task %d ok=%v", i, ref.task, ok)
+		id, ok := r.popReady()
+		if !ok || id != int32(i) {
+			t.Fatalf("FIFO order broken at %d: got task %d ok=%v", i, id, ok)
 		}
 	}
 }
@@ -219,4 +219,84 @@ func BenchmarkSimRun(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestInitialFracDoneRejectsNonFractions: every entry must be a finite
+// fraction in [0, 1]. NaN and ±Inf would otherwise reach an int conversion
+// whose result Go leaves implementation-defined, breaking determinism;
+// the error names the offending stage.
+func TestInitialFracDoneRejectsNonFractions(t *testing.T) {
+	p := fixedProfile(t) // stages "map" and "reduce"
+	cases := []struct {
+		name  string
+		fracs []float64
+		stage string // "" means the config is valid
+	}{
+		{"zeros", []float64{0, 0}, ""},
+		{"ones", []float64{1, 1}, ""},
+		{"half", []float64{0.5, 0}, ""},
+		{"NaN", []float64{math.NaN(), 0}, `stage "map"`},
+		{"+Inf", []float64{0, math.Inf(1)}, `stage "reduce"`},
+		{"-Inf", []float64{math.Inf(-1), 0}, `stage "map"`},
+		{"negative", []float64{0, -0.25}, `stage "reduce"`},
+		{"above one", []float64{1.5, 0}, `stage "map"`},
+		{"just above one", []float64{0, math.Nextafter(1, 2)}, `stage "reduce"`},
+	}
+	r := NewRunner()
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := Config{Profile: p, Alloc: 2, Seed: 1, InitialFracDone: c.fracs}
+			_, runErr := r.Run(cfg)
+			_, complErr := r.RunCompletion(cfg)
+			for _, err := range []error{runErr, complErr} {
+				if c.stage == "" {
+					if err != nil {
+						t.Fatalf("valid fractions rejected: %v", err)
+					}
+					continue
+				}
+				if err == nil {
+					t.Fatalf("fractions %v accepted", c.fracs)
+				}
+				if !strings.Contains(err.Error(), c.stage) {
+					t.Fatalf("error %q does not name %s", err, c.stage)
+				}
+			}
+		})
+	}
+}
+
+// TestShapeAuditCatchesCorruption: the debug-build audits must fire on a
+// corrupted consumer row, a wrong base dependency count and a dependency
+// satisfied twice. They are called directly, so the test runs in default
+// builds too.
+func TestShapeAuditCatchesCorruption(t *testing.T) {
+	p := noisyRunnerProfile(t)
+	fresh := func() *Runner {
+		r := NewRunner()
+		if _, err := r.RunCompletion(Config{Profile: p, Alloc: 4, Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+		r.checkShape() // intact shape passes
+		return r
+	}
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: audit did not fire", name)
+			}
+		}()
+		f()
+	}
+	r := fresh()
+	r.consTo[0]++
+	mustPanic("consumer row", r.checkShape)
+	r = fresh()
+	r.baseDeps[len(r.baseDeps)-1]++
+	mustPanic("base dependencies", r.checkShape)
+	r = fresh()
+	r.consistentStart = true
+	r.remDeps[3] = -1
+	mustPanic("negative dependency count", func() { r.checkDep(3) })
 }

@@ -14,16 +14,20 @@
 // (package model). Because one table build runs thousands of simulations
 // and the online predictor re-runs them every control tick, the hot path
 // is allocation-lean: a Runner allocates its arenas once per job shape and
-// reuses them across runs, and the event queue never boxes.
+// reuses them across runs, and the event queue never boxes. Callers that
+// need only the completion time use Runner.RunCompletion, which records no
+// trace at all.
 package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"time"
 
 	"github.com/jockeysim/jockey/internal/dag"
 	"github.com/jockeysim/jockey/internal/eventq"
+	"github.com/jockeysim/jockey/internal/invariant"
 	"github.com/jockeysim/jockey/internal/profile"
 	"github.com/jockeysim/jockey/internal/stats"
 	"github.com/jockeysim/jockey/internal/trace"
@@ -64,7 +68,8 @@ type Config struct {
 	// completed job: per stage, the given fraction of tasks (rounded down)
 	// begins as already finished. This supports online re-simulation from a
 	// running job's state (§4.4's proposed enhancement). Must be parallel
-	// to the plan's stages.
+	// to the plan's stages, and every entry must be a finite value in
+	// [0, 1].
 	InitialFracDone []float64
 }
 
@@ -75,44 +80,52 @@ func (cfg *Config) validate() error {
 	if cfg.Alloc < 1 {
 		return fmt.Errorf("sim: allocation %d; need at least 1 token", cfg.Alloc)
 	}
-	if cfg.InitialFracDone != nil && len(cfg.InitialFracDone) != cfg.Profile.Job.NumStages() {
-		return fmt.Errorf("sim: InitialFracDone has %d entries; plan %q has %d stages",
-			len(cfg.InitialFracDone), cfg.Profile.Job.Name, cfg.Profile.Job.NumStages())
+	if cfg.InitialFracDone != nil {
+		job := cfg.Profile.Job
+		if len(cfg.InitialFracDone) != job.NumStages() {
+			return fmt.Errorf("sim: InitialFracDone has %d entries; plan %q has %d stages",
+				len(cfg.InitialFracDone), job.Name, job.NumStages())
+		}
+		// Reject NaN and ±Inf before they reach the int conversion in
+		// applyInitialState, whose result Go leaves implementation-defined
+		// for them.
+		for s, f := range cfg.InitialFracDone {
+			if math.IsNaN(f) || f < 0 || f > 1 {
+				return fmt.Errorf("sim: InitialFracDone[%d] (stage %q of plan %q) is %v; want a finite fraction in [0, 1]",
+					s, job.Stages[s].Name, job.Name, f)
+			}
+		}
 	}
 	return nil
 }
 
-type taskRef struct {
-	stage, task int
-}
+// event is one queued simulator event packed into 32 bits: a task end is
+// id<<1 | failed, for the ended attempt's global task id, and the all-ones
+// value evSample is the periodic progress sample. Task ids stay below
+// maxTasks, so no task end can equal evSample.
+type event uint32
 
-type event struct {
-	kind   eventKind
-	stage  int
-	task   int
-	failed bool
-}
+const evSample event = ^event(0)
 
-type eventKind int
-
-const (
-	evTaskEnd eventKind = iota
-	evSample
-)
+// maxTasks bounds a plan's total task count: global task ids are int32,
+// and the largest id packed as a failed task end stays below evSample.
+const maxTasks = math.MaxInt32
 
 // readyCompactMin is the minimum number of consumed entries before the
 // ready FIFO compacts (see popReady); small queues never pay the copy.
 const readyCompactMin = 1024
 
-// Runner is a reusable simulation engine. The first Run against a job plan
-// allocates the engine's state arenas — per-task completion/dependency/
-// attempt/timestamp arrays (flat backing arrays with per-stage views), the
-// consumer adjacency, the ready FIFO, the event queue, and the trace
-// buffer — sized to that plan; subsequent Runs against the same plan
+// Runner is a reusable simulation engine. The first run against a job plan
+// allocates the engine's state arenas — flat per-task arrays indexed by a
+// global int32 task id, the consumer adjacency, the ready FIFO and the
+// event queue — sized to that plan; subsequent runs against the same plan
 // (pointer-identical *dag.Job) reset them in place and allocate nothing
 // beyond what the run itself records. This is the hot-path engine behind
 // C(p, a) table builds and per-tick online re-simulation, where thousands
 // of runs share one job shape.
+//
+// Task ids number the plan's tasks stage by stage: stage s owns ids
+// [stageOff[s], stageOff[s+1]), so task i of stage s is id stageOff[s]+i.
 //
 // A Runner is NOT safe for concurrent use: callers that fan simulations
 // out across goroutines hold one Runner per worker (see model.BuildCPA).
@@ -120,38 +133,45 @@ const readyCompactMin = 1024
 // same event order, same trace — pinned by TestRunnerReuseBitIdentical.
 type Runner struct {
 	// Immutable per job shape (rebuilt only when the job changes).
-	job *dag.Job
-	// consumers[s][i] lists, for each one-to-one out-edge of stage s, the
-	// consumer tasks that depend on producer task i.
-	consumers [][][]taskRef
+	job      *dag.Job
+	stageOff []int32 // len NumStages+1: first task id of each stage
+	stageOf  []int32 // stage of each task id
+	// consTo[consOff[i]:consOff[i+1]] lists the tasks that depend on task i
+	// through one-to-one edges, in the order shape discovered them (which
+	// fixes the order in which they become ready).
+	consOff []int32
+	consTo  []int32
 	// baseDeps is the initial remaining-dependency count of every task,
-	// derived from the plan's edges alone; reset copies it into remFlat.
-	baseDeps   []int
-	totalTasks int
+	// derived from the plan's edges alone; reset copies it into remDeps.
+	baseDeps []int32
 
-	// Flat arenas, one entry per task, with per-stage window views.
-	doneFlat       []bool
-	remFlat        []int
-	attemptsFlat   []int
-	queuedFlat     []time.Duration
-	dispatchedFlat []time.Duration
-	startedFlat    []time.Duration
+	// Per-task state, indexed by task id.
+	done     []bool
+	remDeps  []int32
+	attempts []int32
+	// Timestamps of each task's in-flight attempt. Only traced runs write
+	// and read them, so they are allocated by the first traced run.
+	queuedAt     []time.Duration
+	dispatchedAt []time.Duration // token-grant time
+	startedAt    []time.Duration // exec-start time
 
-	done         [][]bool
-	remDeps      [][]int
-	attempts     [][]int
-	queuedAt     [][]time.Duration
-	dispatchedAt [][]time.Duration // token-grant time of the in-flight attempt
-	startedAt    [][]time.Duration // exec-start time of the in-flight attempt
-	doneCount    []int
+	doneCount []int // per stage
 
-	ready     []taskRef // FIFO queue of schedulable tasks
+	// Progress samples: frac holds each stage's completed fraction, owned
+	// by the Runner and recomputed only for the stages listed in dirty
+	// (those whose doneCount changed since the last sample); emitSample
+	// copies it into fracBuf for the callback.
+	frac      []float64
+	fracDirty []bool
+	dirty     []int32
+	fracBuf   []float64
+
+	ready     []int32 // FIFO queue of schedulable task ids
 	readyHead int
 	q         eventq.Queue[event]
 	tr        trace.JobTrace
 	src       *rand.PCG
 	rng       *rand.Rand
-	fracBuf   []float64 // scratch for Snapshot.FracDone
 
 	// snapshotCopy makes emitSample hand each OnSample callback a freshly
 	// allocated FracDone slice (the one-shot Run contract, where callers
@@ -162,14 +182,19 @@ type Runner struct {
 	// Per-run state.
 	cfg       Config
 	p         *profile.Profile
+	traced    bool // record the trace (Run) or only the completion (RunCompletion)
 	now       time.Duration
 	running   int
 	tasksLeft int
 	maxA      int
+	// consistentStart (computed in debug builds only) records that every
+	// pre-completed task of the start state had all its producers
+	// completed too; see checkDep.
+	consistentStart bool
 }
 
 // NewRunner returns an empty Runner; arenas are sized lazily by the first
-// Run's job plan.
+// run's job plan.
 func NewRunner() *Runner {
 	src := stats.NewSource(0) //jockeyvet:ignore seedflow placeholder state only: reset() reseeds from cfg.Seed before every run
 	return &Runner{src: src, rng: rand.New(src)}
@@ -179,27 +204,36 @@ func NewRunner() *Runner {
 //
 // Reuse contract: the returned trace AND the Snapshot.FracDone slices
 // passed to cfg.OnSample are backed by the Runner's arenas and are valid
-// only until the next Run call. Callers that need to retain them must
-// copy; callers that cannot honour that use the package-level Run, which
-// allocates a fresh Runner per call and therefore carries no aliasing.
+// only until the next Run or RunCompletion call. Callers that need to
+// retain them must copy; callers that cannot honour that use the
+// package-level Run, which allocates a fresh Runner per call and therefore
+// carries no aliasing.
 func (r *Runner) Run(cfg Config) (*trace.JobTrace, error) {
-	if err := cfg.validate(); err != nil {
+	if err := r.start(cfg, true); err != nil {
 		return nil, err
 	}
-	r.cfg = cfg
-	r.p = cfg.Profile
-	r.maxA = cfg.MaxAttempts
-	if r.maxA <= 0 {
-		r.maxA = DefaultMaxAttempts
-	}
-	if r.job != cfg.Profile.Job {
-		r.shape(cfg.Profile.Job)
-	}
-	r.reset()
 	if err := r.run(); err != nil {
 		return nil, err
 	}
+	r.tr.Completion = r.now
 	return &r.tr, nil
+}
+
+// RunCompletion simulates one execution like Run but returns only the
+// job's completion time. It draws the same random values in the same order
+// and hands cfg.OnSample the same snapshots, so the completion equals
+// Run(cfg).Completion exactly; it just records no trace (no per-attempt
+// events, no queued/dispatched/started timestamps). C(p, a) builds and
+// online re-simulation, which read nothing else, use it. Snapshots follow
+// Run's reuse contract.
+func (r *Runner) RunCompletion(cfg Config) (time.Duration, error) {
+	if err := r.start(cfg, false); err != nil {
+		return 0, err
+	}
+	if err := r.run(); err != nil {
+		return 0, err
+	}
+	return r.now, nil
 }
 
 // Run simulates one execution of the profiled job and returns its trace.
@@ -213,100 +247,162 @@ func Run(cfg Config) (*trace.JobTrace, error) {
 	return r.Run(cfg)
 }
 
-// shape (re)builds the arenas for a new job plan: one flat array per
-// per-task field, sliced into per-stage windows, plus the consumer
-// adjacency and base dependency counts, both of which depend only on the
-// plan and are reused unchanged across runs.
-func (r *Runner) shape(job *dag.Job) {
-	r.job = job
+// start validates cfg, (re)shapes the arenas if the plan changed and
+// resets them for a run.
+func (r *Runner) start(cfg Config, traced bool) error {
+	if err := cfg.validate(); err != nil {
+		return err
+	}
+	if r.job != cfg.Profile.Job {
+		if err := r.shape(cfg.Profile.Job); err != nil {
+			return err
+		}
+	}
+	r.cfg = cfg
+	r.p = cfg.Profile
+	r.maxA = cfg.MaxAttempts
+	if r.maxA <= 0 {
+		r.maxA = DefaultMaxAttempts
+	}
+	r.traced = traced
+	r.reset()
+	return nil
+}
+
+// shape (re)builds the arenas for a new job plan: the flat per-task
+// arrays, the stage index, and the consumer adjacency and base dependency
+// counts, both of which depend only on the plan and are reused unchanged
+// across runs.
+func (r *Runner) shape(job *dag.Job) error {
 	n := job.NumStages()
 	total := 0
 	for s := 0; s < n; s++ {
 		total += job.Stages[s].Tasks
+		if total > maxTasks {
+			return fmt.Errorf("sim: plan %q has more than %d tasks", job.Name, maxTasks)
+		}
 	}
-	r.totalTasks = total
-
-	r.doneFlat = make([]bool, total)
-	r.remFlat = make([]int, total)
-	r.attemptsFlat = make([]int, total)
-	r.queuedFlat = make([]time.Duration, total)
-	r.dispatchedFlat = make([]time.Duration, total)
-	r.startedFlat = make([]time.Duration, total)
-	r.baseDeps = make([]int, total)
-	r.doneCount = make([]int, n)
-	r.fracBuf = make([]float64, n)
-
-	r.done = make([][]bool, n)
-	r.remDeps = make([][]int, n)
-	r.attempts = make([][]int, n)
-	r.queuedAt = make([][]time.Duration, n)
-	r.dispatchedAt = make([][]time.Duration, n)
-	r.startedAt = make([][]time.Duration, n)
-	r.consumers = make([][][]taskRef, n)
-	off := 0
+	r.job = job
+	r.stageOff = make([]int32, n+1)
+	r.stageOf = make([]int32, total)
 	for s := 0; s < n; s++ {
-		tasks := job.Stages[s].Tasks
-		r.done[s] = r.doneFlat[off : off+tasks]
-		r.remDeps[s] = r.remFlat[off : off+tasks]
-		r.attempts[s] = r.attemptsFlat[off : off+tasks]
-		r.queuedAt[s] = r.queuedFlat[off : off+tasks]
-		r.dispatchedAt[s] = r.dispatchedFlat[off : off+tasks]
-		r.startedAt[s] = r.startedFlat[off : off+tasks]
-		r.consumers[s] = make([][]taskRef, tasks)
-		off += tasks
+		lo := r.stageOff[s]
+		r.stageOff[s+1] = lo + int32(job.Stages[s].Tasks)
+		for id := lo; id < r.stageOff[s+1]; id++ {
+			r.stageOf[id] = int32(s)
+		}
 	}
+	r.done = make([]bool, total)
+	r.remDeps = make([]int32, total)
+	r.attempts = make([]int32, total)
+	r.queuedAt, r.dispatchedAt, r.startedAt = nil, nil, nil
+	r.doneCount = make([]int, n)
+	r.frac = make([]float64, n)
+	r.fracDirty = make([]bool, n)
+	r.dirty = make([]int32, 0, n)
+	r.fracBuf = make([]float64, n)
+	r.ready = make([]int32, 0, total)
+
 	// Dependency counts: one unit per one-to-one producer task in range,
 	// plus one unit per all-to-all input edge (satisfied when the producer
-	// stage completes).
-	baseDeps := r.remDeps // fill the views, then snapshot into baseDeps
+	// stage completes). The consumer lists are compressed rows: a counting
+	// pass sizes each producer's row, a filling pass writes the rows in the
+	// same (stage, edge, task, producer) order the walk visits them.
+	r.baseDeps = make([]int32, total)
+	r.consOff = make([]int32, total+1)
+	edges := 0
+	r.walkOneToOne(func(from, to int32) {
+		r.consOff[from+1]++
+		edges++
+	})
+	for id := 0; id < total; id++ {
+		r.consOff[id+1] += r.consOff[id]
+	}
+	r.consTo = make([]int32, edges)
+	fill := append([]int32(nil), r.consOff[:total]...)
+	r.walkOneToOne(func(from, to int32) {
+		r.consTo[fill[from]] = to
+		fill[from]++
+		r.baseDeps[to]++
+	})
 	for s := 0; s < n; s++ {
 		for _, edge := range job.Inputs(s) {
+			if edge.Kind != dag.AllToAll {
+				continue
+			}
+			for id := r.stageOff[s]; id < r.stageOff[s+1]; id++ {
+				r.baseDeps[id]++
+			}
+		}
+	}
+	if invariant.Debug {
+		r.checkShape()
+	}
+	return nil
+}
+
+// walkOneToOne calls visit(producer, consumer) for every one-to-one task
+// dependency of the plan being shaped, in stage, input-edge, consumer-task
+// and producer-task order. It needs only stageOff.
+func (r *Runner) walkOneToOne(visit func(from, to int32)) {
+	job := r.job
+	for s := 0; s < job.NumStages(); s++ {
+		for _, edge := range job.Inputs(s) {
+			if edge.Kind == dag.AllToAll {
+				continue
+			}
 			for task := 0; task < job.Stages[s].Tasks; task++ {
-				if edge.Kind == dag.AllToAll {
-					baseDeps[s][task]++
-					continue
-				}
 				lo, hi := job.DepRange(edge, task)
-				baseDeps[s][task] += hi - lo
 				for i := lo; i < hi; i++ {
-					r.consumers[edge.From][i] = append(r.consumers[edge.From][i], taskRef{s, task})
+					visit(r.stageOff[edge.From]+int32(i), r.stageOff[s]+int32(task))
 				}
 			}
 		}
 	}
-	copy(r.baseDeps, r.remFlat)
 }
 
 // reset reinitializes the per-run state in place: counters and flags are
 // cleared, dependency counts restored from baseDeps, the ready FIFO, event
 // queue, trace and RNG rewound. Nothing allocates once the arenas exist.
+// The timestamp arrays are not cleared: a traced run writes each of them
+// before reading it.
 func (r *Runner) reset() {
-	clear(r.doneFlat)
-	copy(r.remFlat, r.baseDeps)
-	clear(r.attemptsFlat)
-	clear(r.queuedFlat)
-	clear(r.dispatchedFlat)
-	clear(r.startedFlat)
+	clear(r.done)
+	copy(r.remDeps, r.baseDeps)
+	clear(r.attempts)
 	clear(r.doneCount)
 	r.ready = r.ready[:0]
 	r.readyHead = 0
 	r.q.Reset()
-	r.tr.Reset(r.job.Name, r.job.NumStages())
+	if r.traced {
+		if len(r.queuedAt) != len(r.done) {
+			r.queuedAt = make([]time.Duration, len(r.done))
+			r.dispatchedAt = make([]time.Duration, len(r.done))
+			r.startedAt = make([]time.Duration, len(r.done))
+		}
+		r.tr.Reset(r.job.Name, r.job.NumStages())
+	}
 	stats.ReseedSource(r.src, r.cfg.Seed)
 	r.now = 0
 	r.running = 0
-	r.tasksLeft = r.totalTasks
+	r.tasksLeft = len(r.done)
 
 	r.applyInitialState()
-	for s := 0; s < r.job.NumStages(); s++ {
-		for task := 0; task < r.job.Stages[s].Tasks; task++ {
-			if r.remDeps[s][task] == 0 && !r.done[s][task] {
-				r.markReady(s, task)
-			}
+	if invariant.Debug {
+		r.consistentStart = r.startIsConsistent()
+	}
+	for id := range r.remDeps {
+		if r.remDeps[id] == 0 && !r.done[id] {
+			r.markReady(int32(id))
 		}
 	}
+	clear(r.fracDirty)
+	r.dirty = r.dirty[:0]
 	if r.cfg.SampleEvery > 0 && r.cfg.OnSample != nil {
-		r.q.Push(r.cfg.SampleEvery, event{kind: evSample})
+		for s := range r.frac {
+			r.frac[s] = float64(r.doneCount[s]) / float64(r.job.Stages[s].Tasks)
+		}
+		r.q.Push(r.cfg.SampleEvery, evSample)
 	}
 }
 
@@ -319,18 +415,16 @@ func (r *Runner) applyInitialState() {
 	}
 	job := r.job
 	// First mark per-task completions and satisfy one-to-one consumers.
-	// Run validated len(fracs) == NumStages before the engine was built.
+	// validate checked that every fraction is finite and within [0, 1].
 	for s := 0; s < job.NumStages(); s++ {
-		k := int(fracs[s] * float64(job.Stages[s].Tasks))
-		if k > job.Stages[s].Tasks {
-			k = job.Stages[s].Tasks
-		}
-		for task := 0; task < k; task++ {
-			r.done[s][task] = true
+		k := int32(fracs[s] * float64(job.Stages[s].Tasks))
+		lo := r.stageOff[s]
+		for id := lo; id < lo+k; id++ {
+			r.done[id] = true
 			r.doneCount[s]++
 			r.tasksLeft--
-			for _, c := range r.consumers[s][task] {
-				r.remDeps[c.stage][c.task]--
+			for _, c := range r.consTo[r.consOff[id]:r.consOff[id+1]] {
+				r.remDeps[c]--
 			}
 		}
 	}
@@ -343,17 +437,19 @@ func (r *Runner) applyInitialState() {
 			if edge.Kind != dag.AllToAll {
 				continue
 			}
-			for t := 0; t < job.Stages[edge.To].Tasks; t++ {
-				r.remDeps[edge.To][t]--
+			for id := r.stageOff[edge.To]; id < r.stageOff[edge.To+1]; id++ {
+				r.remDeps[id]--
 			}
 		}
 	}
 }
 
 //jockey:hotpath
-func (r *Runner) markReady(stage, task int) {
-	r.queuedAt[stage][task] = r.now
-	r.ready = append(r.ready, taskRef{stage, task})
+func (r *Runner) markReady(id int32) {
+	if r.traced {
+		r.queuedAt[id] = r.now
+	}
+	r.ready = append(r.ready, id)
 }
 
 // popReady dequeues the oldest ready task. The FIFO is a slice plus a head
@@ -365,18 +461,18 @@ func (r *Runner) markReady(stage, task int) {
 // results, and reset rewinds head and length while keeping capacity.
 //
 //jockey:hotpath
-func (r *Runner) popReady() (taskRef, bool) {
+func (r *Runner) popReady() (int32, bool) {
 	if r.readyHead >= len(r.ready) {
-		return taskRef{}, false
+		return 0, false
 	}
-	t := r.ready[r.readyHead]
+	id := r.ready[r.readyHead]
 	r.readyHead++
 	if r.readyHead >= readyCompactMin && r.readyHead*2 >= len(r.ready) {
 		n := copy(r.ready, r.ready[r.readyHead:])
 		r.ready = r.ready[:n]
 		r.readyHead = 0
 	}
-	return t, true
+	return id, true
 }
 
 //jockey:hotpath
@@ -387,37 +483,38 @@ func (r *Runner) readyLen() int { return len(r.ready) - r.readyHead }
 //jockey:hotpath
 func (r *Runner) dispatch() {
 	for r.running < r.cfg.Alloc {
-		t, ok := r.popReady()
+		id, ok := r.popReady()
 		if !ok {
 			return
 		}
-		r.startTask(t.stage, t.task)
+		r.startTask(id)
 	}
 }
 
 //jockey:hotpath
-func (r *Runner) startTask(stage, task int) {
-	sp := &r.p.Stages[stage]
+func (r *Runner) startTask(id int32) {
+	sp := &r.p.Stages[r.stageOf[id]]
 	initDelay := sp.Queue.Sample(r.rng)
 	exec := sp.Exec.Sample(r.rng)
 	if exec <= 0 {
 		exec = time.Millisecond
 	}
-	fails := false
-	if !r.cfg.DisableFailures && r.attempts[stage][task] < r.maxA-1 && sp.FailureProb > 0 {
-		fails = r.rng.Float64() < sp.FailureProb
-	}
-	if fails {
+	ev := event(id) << 1
+	if !r.cfg.DisableFailures && int(r.attempts[id]) < r.maxA-1 && sp.FailureProb > 0 &&
+		r.rng.Float64() < sp.FailureProb {
 		// A failing attempt dies partway through its service time.
 		exec = time.Duration(float64(exec) * r.rng.Float64())
 		if exec <= 0 {
 			exec = time.Millisecond
 		}
+		ev |= 1
 	}
-	r.dispatchedAt[stage][task] = r.now
-	r.startedAt[stage][task] = r.now + initDelay
+	if r.traced {
+		r.dispatchedAt[id] = r.now
+		r.startedAt[id] = r.now + initDelay
+	}
 	r.running++
-	r.q.Push(r.now+initDelay+exec, event{kind: evTaskEnd, stage: stage, task: task, failed: fails})
+	r.q.Push(r.now+initDelay+exec, ev)
 }
 
 //jockey:hotpath
@@ -430,28 +527,29 @@ func (r *Runner) run() error {
 				r.job.Name, r.now, r.tasksLeft)
 		}
 		r.now = at
-		switch ev.kind {
-		case evSample:
+		if ev == evSample {
 			r.emitSample()
 			if r.tasksLeft > 0 {
-				r.q.Push(r.now+r.cfg.SampleEvery, event{kind: evSample})
+				r.q.Push(r.now+r.cfg.SampleEvery, evSample)
 			}
-		case evTaskEnd:
-			r.finishTask(ev)
+			continue
 		}
+		r.finishTask(int32(ev>>1), ev&1 != 0)
 	}
-	r.tr.Completion = r.now
 	return nil
 }
 
 func (r *Runner) emitSample() {
+	for _, s := range r.dirty {
+		r.frac[s] = float64(r.doneCount[s]) / float64(r.job.Stages[s].Tasks)
+		r.fracDirty[s] = false
+	}
+	r.dirty = r.dirty[:0]
 	frac := r.fracBuf
 	if r.snapshotCopy {
-		frac = make([]float64, r.job.NumStages())
+		frac = make([]float64, len(r.frac))
 	}
-	for s := range frac {
-		frac[s] = float64(r.doneCount[s]) / float64(r.job.Stages[s].Tasks)
-	}
+	copy(frac, r.frac)
 	r.cfg.OnSample(Snapshot{
 		Time:     r.now,
 		FracDone: frac,
@@ -461,48 +559,69 @@ func (r *Runner) emitSample() {
 }
 
 //jockey:hotpath
-func (r *Runner) finishTask(ev event) {
-	stage, task := ev.stage, ev.task
+func (r *Runner) finishTask(id int32, failed bool) {
 	r.running--
-	r.tr.AddTask(trace.TaskEvent{
-		Stage:      stage,
-		Task:       task,
-		Attempt:    r.attempts[stage][task],
-		Queued:     r.queuedAt[stage][task],
-		Dispatched: r.dispatchedAt[stage][task],
-		Started:    r.startedAt[stage][task],
-		Ended:      r.now,
-		Failed:     ev.failed,
-	})
-	if ev.failed {
-		r.attempts[stage][task]++
-		r.markReady(stage, task)
+	if r.traced {
+		r.record(id, failed)
+	}
+	if failed {
+		r.attempts[id]++
+		r.markReady(id)
 		r.dispatch()
 		return
 	}
-	r.done[stage][task] = true
-	r.doneCount[stage]++
+	s := r.stageOf[id]
+	r.done[id] = true
+	r.doneCount[s]++
 	r.tasksLeft--
+	if !r.fracDirty[s] {
+		r.fracDirty[s] = true
+		r.dirty = append(r.dirty, s)
+	}
 	// Satisfy one-to-one consumers of this task.
-	for _, c := range r.consumers[stage][task] {
-		r.remDeps[c.stage][c.task]--
-		if r.remDeps[c.stage][c.task] == 0 {
-			r.markReady(c.stage, c.task)
-		}
+	for _, c := range r.consTo[r.consOff[id]:r.consOff[id+1]] {
+		r.satisfy(c)
 	}
 	// Satisfy all-to-all consumers if the stage just completed.
-	if r.doneCount[stage] == r.job.Stages[stage].Tasks {
-		for _, edge := range r.job.Outputs(stage) {
+	if r.doneCount[s] == int(r.stageOff[s+1]-r.stageOff[s]) {
+		for _, edge := range r.job.Outputs(int(s)) {
 			if edge.Kind != dag.AllToAll {
 				continue
 			}
-			for t := 0; t < r.job.Stages[edge.To].Tasks; t++ {
-				r.remDeps[edge.To][t]--
-				if r.remDeps[edge.To][t] == 0 {
-					r.markReady(edge.To, t)
-				}
+			for c := r.stageOff[edge.To]; c < r.stageOff[edge.To+1]; c++ {
+				r.satisfy(c)
 			}
 		}
 	}
 	r.dispatch()
+}
+
+// satisfy retires one unmet dependency of task c, readying it on the last.
+//
+//jockey:hotpath
+func (r *Runner) satisfy(c int32) {
+	r.remDeps[c]--
+	if invariant.Debug {
+		r.checkDep(c)
+	}
+	if r.remDeps[c] == 0 {
+		r.markReady(c)
+	}
+}
+
+// record appends the ended attempt of task id to the trace.
+//
+//jockey:hotpath
+func (r *Runner) record(id int32, failed bool) {
+	s := r.stageOf[id]
+	r.tr.AddTask(trace.TaskEvent{
+		Stage:      int(s),
+		Task:       int(id - r.stageOff[s]),
+		Attempt:    int(r.attempts[id]),
+		Queued:     r.queuedAt[id],
+		Dispatched: r.dispatchedAt[id],
+		Started:    r.startedAt[id],
+		Ended:      r.now,
+		Failed:     failed,
+	})
 }

@@ -48,6 +48,12 @@ func quantileSorted(s []float64, q float64) float64 {
 
 // QuantileDurations returns the q-quantile of an ascending-sorted duration
 // slice with linear interpolation. It returns 0 for an empty input.
+//
+// For 0 < q < 1 the position pos = q·(len-1) is non-negative and strictly
+// below len-1 (rounding q·(len-1) to nearest cannot reach len-1 when q < 1),
+// so int(pos) is floor(pos) and the upper order statistic is lo+1 unless
+// pos is integral. This is the floor/ceil formula without the two calls,
+// bit for bit (TestQuantileDurationsMatchesFloorCeil).
 func QuantileDurations(sorted []time.Duration, q float64) time.Duration {
 	if len(sorted) == 0 {
 		return 0
@@ -59,13 +65,12 @@ func QuantileDurations(sorted []time.Duration, q float64) time.Duration {
 		return sorted[len(sorted)-1]
 	}
 	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
+	lo := int(pos)
+	frac := pos - float64(lo)
+	if frac == 0 {
 		return sorted[lo]
 	}
-	frac := pos - float64(lo)
-	return time.Duration(float64(sorted[lo])*(1-frac) + float64(sorted[hi])*frac)
+	return time.Duration(float64(sorted[lo])*(1-frac) + float64(sorted[lo+1])*frac)
 }
 
 // Mean returns the arithmetic mean, or 0 for an empty input.
@@ -173,6 +178,36 @@ func NewReservoir(capacity int) *Reservoir {
 		capacity = 1
 	}
 	return &Reservoir{cap: capacity}
+}
+
+// NewReservoirs returns len(offers) reservoirs of the given capacity whose
+// retained samples share one backing array, carved so that reservoir i has
+// room for exactly min(offers[i], capacity) samples — what it retains after
+// offers[i] >= 0 Adds. A caller that knows its offer counts up front thus pays
+// two allocations instead of one per reservoir plus every append growth.
+// The counts size storage only: Add behaves exactly as on NewReservoir's
+// reservoirs (Algorithm R depends only on how many values were seen and on
+// the random source), and a reservoir offered more than offers[i] values
+// grows its own storage.
+func NewReservoirs(capacity int, offers []int) []Reservoir {
+	if capacity <= 0 {
+		capacity = 1
+	}
+	total := 0
+	for _, n := range offers {
+		total += min(n, capacity)
+	}
+	backing := make([]time.Duration, total)
+	rs := make([]Reservoir, len(offers))
+	off := 0
+	for i, n := range offers {
+		rs[i].cap = capacity
+		if k := min(n, capacity); k > 0 {
+			rs[i].vals = backing[off : off : off+k]
+			off += k
+		}
+	}
+	return rs
 }
 
 // Add offers a value to the reservoir. r selects which retained sample to

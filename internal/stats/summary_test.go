@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -194,5 +195,107 @@ func TestSecondsToDurationClamps(t *testing.T) {
 	}
 	if got := durationToSeconds(1500 * time.Millisecond); got != 1.5 {
 		t.Errorf("roundtrip: %v", got)
+	}
+}
+
+// quantileDurationsFloorCeil is QuantileDurations as it was written before
+// the floor/ceil calls were dropped; the property below pins the two
+// together bit for bit.
+func quantileDurationsFloorCeil(sorted []time.Duration, q float64) time.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	if q <= 0 {
+		return sorted[0]
+	}
+	if q >= 1 {
+		return sorted[len(sorted)-1]
+	}
+	pos := q * float64(len(sorted)-1)
+	lo := int(math.Floor(pos))
+	hi := int(math.Ceil(pos))
+	if lo == hi {
+		return sorted[lo]
+	}
+	frac := pos - float64(lo)
+	return time.Duration(float64(sorted[lo])*(1-frac) + float64(sorted[hi])*frac)
+}
+
+func TestQuantileDurationsMatchesFloorCeil(t *testing.T) {
+	check := func(sorted []time.Duration, q float64) bool {
+		return QuantileDurations(sorted, q) == quantileDurationsFloorCeil(sorted, q)
+	}
+	prop := func(raw []int64, q float64) bool {
+		sorted := make([]time.Duration, len(raw))
+		for i, v := range raw {
+			sorted[i] = time.Duration(v)
+		}
+		slices.Sort(sorted)
+		if math.IsNaN(q) || math.IsInf(q, 0) {
+			q = 0.5
+		}
+		return check(sorted, math.Abs(math.Mod(q, 1))) && check(sorted, q)
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+	// The edges the argument rests on: q just below 1 (where pos comes
+	// closest to len-1), integral positions, a single sample, the smallest
+	// positive q, and lengths around powers of two.
+	justBelowOne := 1 - math.Pow(2, -53)
+	for _, n := range []int{1, 2, 3, 4, 5, 17, 64, 65, 100, 1 << 20} {
+		sorted := make([]time.Duration, n)
+		for i := range sorted {
+			sorted[i] = time.Duration(i*i) * time.Millisecond
+		}
+		qs := []float64{math.SmallestNonzeroFloat64, justBelowOne, math.Nextafter(justBelowOne, 0), 0.5, 0.9, 0.99}
+		for k := 1; k < n-1 && k < 8; k++ {
+			qs = append(qs, float64(k)/float64(n-1)) // integral pos
+		}
+		for _, q := range qs {
+			if !check(sorted, q) {
+				t.Errorf("n=%d q=%v: %v, floor/ceil formula %v", n, q,
+					QuantileDurations(sorted, q), quantileDurationsFloorCeil(sorted, q))
+			}
+		}
+	}
+}
+
+// TestNewReservoirsMatchNewReservoir: reservoirs carved from one backing
+// array retain exactly what separately allocated ones retain under the
+// same interleaved Add sequence and shared random source — including a
+// reservoir offered more values than it was sized for.
+func TestNewReservoirsMatchNewReservoir(t *testing.T) {
+	const capacity = 8
+	offers := []int{0, 1, capacity - 1, capacity, capacity + 5, 3 * capacity}
+	sized := append([]int(nil), offers...)
+	sized[len(sized)-1] = 2 // under-declared: must grow its own storage
+	carved := NewReservoirs(capacity, sized)
+	separate := make([]*Reservoir, len(offers))
+	for i := range separate {
+		separate[i] = NewReservoir(capacity)
+	}
+	rc, rs := NewRNG(9), NewRNG(9)
+	left := append([]int(nil), offers...)
+	for v := time.Duration(1); ; v++ {
+		added := false
+		for i := range left {
+			if left[i] == 0 {
+				continue
+			}
+			left[i]--
+			carved[i].Add(v*time.Duration(i+1), rc)
+			separate[i].Add(v*time.Duration(i+1), rs)
+			added = true
+		}
+		if !added {
+			break
+		}
+	}
+	for i := range offers {
+		if !slices.Equal(carved[i].Values(), separate[i].Values()) || carved[i].Seen() != separate[i].Seen() {
+			t.Errorf("reservoir %d (offers %d): carved %v seen %d, separate %v seen %d", i, offers[i],
+				carved[i].Values(), carved[i].Seen(), separate[i].Values(), separate[i].Seen())
+		}
 	}
 }

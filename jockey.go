@@ -296,7 +296,9 @@ func Simulate(cfg SimConfig) (*JobTrace, error) { return sim.Run(cfg) }
 // plan reset them in place and are allocation-free. Results are
 // bit-identical to Simulate. Not safe for concurrent use — hold one per
 // goroutine. The returned trace and the snapshots handed to
-// SimConfig.OnSample are valid only until the next Run.
+// SimConfig.OnSample are valid only until the next Run. RunCompletion
+// simulates identically but returns only the completion time, recording
+// no trace.
 type SimRunner = sim.Runner
 
 // NewSimRunner creates a reusable simulation engine for loops that run

@@ -11,7 +11,10 @@
 #     internal/eventq: BenchmarkEventQueue        (steady-state Push+Pop)
 #     internal/model:  BenchmarkCPAQuery          (Remaining / ExpectedUtility)
 #     internal/model:  BenchmarkOnlineSimTick     (per-tick online prediction)
-#     root:            BenchmarkSimulatorThroughput (job F, 6139 vertices)
+#     root:            BenchmarkSimulatorThroughput (job F, 6139 vertices;
+#                      one-shot, reused traced Runner, completion-only)
+#     root:            BenchmarkCPABuild/guard-rebuild (one guard re-profile:
+#                      16-allocation grid x 8 runs, one worker, job E)
 #   grid — experiment-executor benchmarks (run once each; a single grid
 #   iteration already replays dozens of cluster simulations):
 #     internal/cluster:     BenchmarkEngineFresh/Reuse (arena reuse win)
@@ -31,7 +34,8 @@
 #     internal/cluster: BenchmarkReschedulePerEvent (10/100/1,000 live jobs)
 #
 # Output files may carry hand-added "baseline_*" blocks recording pre-change
-# numbers (BENCH_largecluster.json does); those are history, so the script
+# numbers (BENCH_largecluster.json, BENCH_fleetscale.json and
+# BENCH_simcore.json do); those are history, so the script
 # refuses to clobber such a file unless BENCH_FORCE=1 is set — re-point the
 # output or merge the fresh "benchmarks" array by hand instead.
 set -euo pipefail
@@ -59,6 +63,7 @@ simcore)
   run ./internal/eventq 'BenchmarkEventQueue'
   run ./internal/model 'BenchmarkCPAQuery|BenchmarkOnlineSimTick'
   run . 'BenchmarkSimulatorThroughput'
+  run . 'BenchmarkCPABuild/guard-rebuild'
   ;;
 grid)
   run ./internal/cluster 'BenchmarkEngine(Fresh|Reuse)$' "${BENCHTIME:-1x}"
